@@ -589,113 +589,6 @@ let note_workers id ws =
   if not (List.mem_assoc id !experiment_workers) then
     experiment_workers := (id, ws) :: !experiment_workers
 
-(* --profile: per-wave queue-wait and lane-utilization histograms from
-   the wave executor's uv_obs counters, one row per (bench, workers) *)
-let profile = ref false
-
-let exec_profile_results : Uv_obs.Json.t list ref = ref []
-
-let profile_row bench workers obs =
-  let module J = Uv_obs.Json in
-  let hists =
-    match Uv_obs.Trace.metrics_payload obs with
-    | J.Obj fields -> (
-        match List.assoc_opt "histograms" fields with
-        | Some (J.Obj hs) -> hs
-        | _ -> [])
-    | _ -> []
-  in
-  let hist name =
-    match List.assoc_opt name hists with Some h -> h | None -> J.Null
-  in
-  J.Obj
-    [
-      ("bench", J.Str bench);
-      ("workers", J.Int workers);
-      ("queue_wait_ms", hist "replay.queue_wait_ms");
-      ("utilization", hist "replay.utilization");
-    ]
-
-let bench_exec_parallel () =
-  (* the wave executor on real domains, not the simulated makespan: the
-     same what-if runs at each worker count; wall times must shrink while
-     the final universe hash stays bitwise identical. Measured speedup is
-     bounded by min(host cores, DAG parallelism) — on a single-core host
-     extra domains only add minor-GC barrier latency, so the speedup
-     column is expected to collapse there while hashes must still agree. *)
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "host parallelism: %d core%s — speedup@4 meaningful only when >= 4\n"
-    cores
-    (if cores = 1 then "" else "s");
-  let n = sz 1500 300 in
-  let scale = sz 8 4 in
-  let dep_rate = if !quick then 0.05 else 0.02 in
-  let t =
-    G.create
-      ~title:"Measured parallel replay: wave executor wall time vs workers"
-      ~header:
-        [ "Bench"; "members"; "1 worker"; "2"; "4"; "8"; "speedup@4"; "hash" ]
-  in
-  List.iter
-    (fun (w : W.t) ->
-      note_workers "exec-parallel" [ 1; 2; 4; 8 ];
-      (* join parked replay pools: an idle domain taxes every minor
-         collection of the serial build below *)
-      Uv_util.Domain_pool.drain ();
-      let b = S.build ~scale ~mode:R.Transpiled ~n ~dep_rate w in
-      let analyzer =
-        Analyzer.analyze ~config:w.W.ri_config ~base:b.S.base (Engine.log b.S.eng)
-      in
-      let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
-      let run ~obs workers =
-        Whatif.run_exn
-          ~config:(Whatif.Config.make ~workers ~obs ())
-          ~analyzer b.S.eng target
-      in
-      let best workers =
-        (* wall times are noisy at this scale: best of three *)
-        let obs =
-          if !profile then Uv_obs.Trace.create () else Uv_obs.Trace.disabled
-        in
-        let outs = List.init 3 (fun _ -> run ~obs workers) in
-        if !profile then
-          exec_profile_results :=
-            profile_row w.W.name workers obs :: !exec_profile_results;
-        let ms =
-          List.fold_left
-            (fun acc o ->
-              match o.Whatif.measured_parallel_ms with
-              | Some m -> min acc m
-              | None -> acc)
-            infinity outs
-        in
-        (List.hd outs, ms)
-      in
-      let o1, ms1 = best 1 in
-      let _, ms2 = best 2 in
-      let o4, ms4 = best 4 in
-      let o8, ms8 = best 8 in
-      let hash_ok =
-        o4.Whatif.final_db_hash = o1.Whatif.final_db_hash
-        && o8.Whatif.final_db_hash = o1.Whatif.final_db_hash
-      in
-      if not hash_ok then
-        failwith (w.W.name ^ ": parallel replay hash diverged across workers");
-      G.add_row t
-        [
-          w.W.name;
-          string_of_int o1.Whatif.replay.Analyzer.member_count;
-          fmt ms1;
-          fmt ms2;
-          fmt ms4;
-          fmt ms8;
-          G.fmt_speedup (ms1 /. max ms4 0.001);
-          "ok";
-        ])
-    (workloads ());
-  G.print t
-
 (* ------------------------------------------------------------------ *)
 (* Repeated what-if amortization: session caches, cold vs warm          *)
 (* ------------------------------------------------------------------ *)
@@ -753,13 +646,13 @@ let bench_whatif_repeat () =
               ~analyzer eng_cold target)
       in
       let session workers =
-        Whatif.Service.open_session @@ Whatif.Service.create
+        Whatif.Service.create
           ~config:(Whatif.Config.make ~workers ~checkpoint_every:32 ())
           ~rowset:w.W.ri_config ~base:base_warm eng_warm
       in
       let run_session s =
-        match Whatif.Session.run s target with
-        | Ok o -> o
+        match Whatif.Service.run s target with
+        | Ok r -> r.Whatif.Service.outcome
         | Error e -> failwith (Whatif.Error.to_string e)
       in
       let s1 = session 1 in
@@ -1560,7 +1453,6 @@ let experiments =
     ("t8c", "Table 8(c): speedup vs dependency rate", bench_t8c);
     ("abl-colrow", "Ablation: analysis granularity", bench_abl_colrow);
     ("abl-parallel", "Ablation: replay parallelism", bench_abl_parallel);
-    ("exec-parallel", "Measured parallel replay (wave executor)", bench_exec_parallel);
     ("whatif-repeat", "Repeated what-if: session caches cold vs warm", bench_whatif_repeat);
     ("template-analysis", "Template matrix: per-statement vs matrix-backed closure", bench_template_analysis);
     ("history-scale", "Segmented store: 100x history, constant replay set", bench_history_scale);
@@ -1581,20 +1473,13 @@ let () =
       ("--quick", Arg.Set quick, "smaller sizes for a fast pass");
       ( "--smoke",
         Arg.Set smoke,
-        "CI sanity pass: the measured-parallel and whatif-repeat \
-         experiments at quick sizes (fails hard on any cross-worker or \
-         cached-vs-cold hash divergence)" );
+        "CI sanity pass: the whatif-repeat experiment at quick sizes \
+         (fails hard on any cached-vs-cold hash divergence)" );
       ("--list", Arg.Set list_only, "list experiment ids");
       ( "--json",
         Arg.Set json,
         "after the tables, emit a uv.bench/1 report of per-experiment wall \
          times as the last line" );
-      ( "--profile",
-        Arg.Set profile,
-        "collect per-wave queue-wait and lane-utilization histograms from \
-         the wave executor's uv_obs counters during exec-parallel (adds \
-         clock reads to the hot path; wall times get slightly noisier) — \
-         reported under exec_parallel_profile in the --json payload" );
     ]
   in
   Arg.parse args (fun _ -> ()) "ultraverse benchmark harness";
@@ -1605,9 +1490,7 @@ let () =
     let chosen =
       match (!smoke, !only) with
       | true, _ ->
-          List.filter
-            (fun (i, _, _) -> i = "exec-parallel" || i = "whatif-repeat")
-            experiments
+          List.filter (fun (i, _, _) -> i = "whatif-repeat") experiments
       | false, None -> List.filter (fun (id, _, _) -> id <> "micro") experiments
       | false, Some id -> List.filter (fun (i, _, _) -> i = id) experiments
     in
@@ -1647,10 +1530,6 @@ let () =
                             | None -> []))
                         timings) );
                ]
-              @ (match !exec_profile_results with
-                | [] -> []
-                | rows ->
-                    [ ("exec_parallel_profile", J.List (List.rev rows)) ])
               @ (match !repeat_results with
                 | [] -> []
                 | rows -> [ ("whatif_repeat", J.List rows) ])

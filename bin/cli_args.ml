@@ -61,13 +61,13 @@ let json =
   Arg.(value & flag & info [ "json" ] ~doc:"emit the result as a JSON report")
 
 let workers =
-  (* default to the host's available parallelism: extra domains beyond
-     the core count only add GC-barrier overhead *)
   Arg.(
     value
     & opt int (Domain.recommended_domain_count ())
     & info [ "workers" ]
-        ~doc:"parallel replay worker (domain) count (default: host parallelism)")
+        ~doc:
+          "lanes of the simulated parallel-replay makespan (default: host \
+           parallelism); replay itself runs serially in commit order")
 
 let deadline =
   Arg.(

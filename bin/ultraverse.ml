@@ -121,19 +121,19 @@ let analyze_cmd =
 (* whatif                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let cache_json (s : Whatif.Session.stats) =
+let cache_json (s : Whatif.Service.stats) =
   let module J = Uv_obs.Json in
   J.Obj
     [
-      ("runs", J.Int s.Whatif.Session.runs);
-      ("analyzer_builds", J.Int s.Whatif.Session.analyzer_builds);
-      ("analyzer_extends", J.Int s.Whatif.Session.analyzer_extends);
-      ("analyzed_entries", J.Int s.Whatif.Session.analyzed_entries);
-      ("plan_cache_size", J.Int s.Whatif.Session.plan_cache_size);
-      ("plans_compiled", J.Int s.Whatif.Session.plans_compiled);
-      ("plan_cache_hits", J.Int s.Whatif.Session.plan_cache_hits);
-      ("checkpoint_rungs", J.Int s.Whatif.Session.checkpoint_rungs);
-      ("checkpoint_every", J.Int s.Whatif.Session.checkpoint_every);
+      ("runs", J.Int s.Whatif.Service.runs);
+      ("analyzer_builds", J.Int s.Whatif.Service.analyzer_builds);
+      ("analyzer_extends", J.Int s.Whatif.Service.analyzer_extends);
+      ("analyzed_entries", J.Int s.Whatif.Service.analyzed_entries);
+      ("plan_cache_size", J.Int s.Whatif.Service.plan_cache_size);
+      ("plans_compiled", J.Int s.Whatif.Service.plans_compiled);
+      ("plan_cache_hits", J.Int s.Whatif.Service.plan_cache_hits);
+      ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
+      ("checkpoint_every", J.Int s.Whatif.Service.checkpoint_every);
     ]
 
 let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
@@ -153,14 +153,13 @@ let whatif_payload ~path ~tau ~op ~cache (out : Whatif.outcome) =
       ("real_ms", J.Float out.Whatif.real_ms);
       ("serial_cost_ms", J.Float out.Whatif.serial_cost_ms);
       ("simulated_parallel_ms", J.Float out.Whatif.simulated_parallel_ms);
-      ( "measured_parallel_ms",
-        match out.Whatif.measured_parallel_ms with
-        | Some m -> J.Float m
-        | None -> J.Null );
+      (* fixed values: replay is serial, and uv.whatif/1 keys are never
+         removed *)
+      ("measured_parallel_ms", J.Null);
       ("workers", J.Int out.Whatif.workers);
-      ("waves", J.Int out.Whatif.exec_waves);
+      ("waves", J.Int 0);
       ("changed", J.Bool out.Whatif.changed);
-      ("degraded", J.Bool out.Whatif.degraded);
+      ("degraded", J.Bool false);
       ("retries", J.Int out.Whatif.retries);
       ("rollback_strategy", J.Str out.Whatif.rollback_strategy);
       ("plans_used", J.Int out.Whatif.plans_used);
@@ -190,7 +189,7 @@ let whatif_abort_payload ~path ~tau ~op (e : Whatif.Error.t) =
     ]
 
 let whatif_cmd =
-  let run path tau op stmt_text hash_jumper workers serial deadline json query
+  let run path tau op stmt_text hash_jumper workers deadline json query
       trace metrics checkpoint_every repeat no_plans =
     let obs =
       if trace <> None || metrics then Uv_obs.Trace.create ()
@@ -199,14 +198,17 @@ let whatif_cmd =
     let eng = load_history ~checkpoint_every path in
     let target = { Analyzer.tau; op = parse_op op stmt_text } in
     let config =
-      Whatif.Config.make ~hash_jumper ~workers ~parallel_exec:(not serial)
-        ?deadline_ms:deadline ~obs ~checkpoint_every ~plans:(not no_plans) ()
+      Whatif.Config.make ~hash_jumper ~workers ?deadline_ms:deadline ~obs
+        ~checkpoint_every ~plans:(not no_plans) ()
     in
-    (* a session so the analyzer, plan cache and checkpoint ladder amortize
+    (* a service so the analyzer, plan cache and checkpoint ladder amortize
        across --repeat runs of the same question *)
-    let session = Whatif.Service.open_session @@ Whatif.Service.create ~config eng in
+    let svc = Whatif.Service.create ~config eng in
+    let ask () =
+      Result.map (fun r -> r.Whatif.Service.outcome) (Whatif.Service.run svc target)
+    in
     let repeat = max 1 repeat in
-    let result = ref (Whatif.Session.run session target) in
+    let result = ref (ask ()) in
     for k = 2 to repeat do
       (match !result with
       | Ok out ->
@@ -215,7 +217,7 @@ let whatif_cmd =
               (k - 1) repeat out.Whatif.real_ms out.Whatif.rollback_strategy
               out.Whatif.plans_used
       | Error _ -> ());
-      result := Whatif.Session.run session target
+      result := ask ()
     done;
     let result = !result in
     (match trace with
@@ -239,7 +241,7 @@ let whatif_cmd =
       print_endline
         (Uv_obs.Report.to_string ~schema:"uv.whatif/1"
            (whatif_payload ~path ~tau ~op
-              ~cache:(cache_json (Whatif.Session.stats session))
+              ~cache:(cache_json (Whatif.Service.stats svc))
               out))
     else begin
       Printf.printf "replayed %d of %d statements (%d rolled back) in %.2f ms\n"
@@ -248,22 +250,16 @@ let whatif_cmd =
         out.Whatif.undone out.Whatif.real_ms;
       Printf.printf "rollback strategy %s; %d member(s) ran a compiled plan\n"
         out.Whatif.rollback_strategy out.Whatif.plans_used;
-      (let st = Whatif.Session.stats session in
-       if st.Whatif.Session.checkpoint_rungs > 0 then
+      (let st = Whatif.Service.stats svc in
+       if st.Whatif.Service.checkpoint_rungs > 0 then
          Printf.printf "checkpoint ladder: %d rung(s), stride %d\n"
-           st.Whatif.Session.checkpoint_rungs
-           st.Whatif.Session.checkpoint_every);
+           st.Whatif.Service.checkpoint_rungs
+           st.Whatif.Service.checkpoint_every);
       Printf.printf "serial cost %.2f ms, simulated parallel (%d workers) %.2f ms\n"
         out.Whatif.serial_cost_ms out.Whatif.workers
         out.Whatif.simulated_parallel_ms;
-      (match out.Whatif.measured_parallel_ms with
-      | Some m ->
-          Printf.printf "measured parallel replay %.2f ms over %d waves\n" m
-            out.Whatif.exec_waves
-      | None -> print_endline "parallel replay: serial fallback");
-      if out.Whatif.retries > 0 || out.Whatif.degraded then
-        Printf.printf "fault recovery: %d retries%s\n" out.Whatif.retries
-          (if out.Whatif.degraded then ", degraded to the caller lane" else "");
+      if out.Whatif.retries > 0 then
+        Printf.printf "fault recovery: %d retries\n" out.Whatif.retries;
       (match out.Whatif.hash_jump_at with
       | Some i -> Printf.printf "hash-hit at commit %d: the change is effectless\n" i
       | None -> ());
@@ -293,11 +289,6 @@ let whatif_cmd =
   let hash_jumper =
     Arg.(value & flag & info [ "hash-jumper" ] ~doc:"enable early termination")
   in
-  let serial =
-    Arg.(value & flag
-         & info [ "serial" ]
-             ~doc:"disable the parallel wave executor; replay serially")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"OUT.JSON"
@@ -322,7 +313,7 @@ let whatif_cmd =
   Cmd.v
     (Cmd.info "whatif" ~doc:"run a retroactive operation on a history")
     Term.(const run $ Cli_args.history_pos $ Cli_args.tau $ Cli_args.op
-          $ Cli_args.stmt_text $ hash_jumper $ Cli_args.workers $ serial
+          $ Cli_args.stmt_text $ hash_jumper $ Cli_args.workers
           $ Cli_args.deadline $ Cli_args.json $ Cli_args.query $ trace
           $ metrics $ Cli_args.checkpoint_every $ repeat $ Cli_args.no_plans)
 
@@ -792,9 +783,8 @@ let serve_cmd =
       value & opt int 2
       & info [ "replay-workers" ]
           ~doc:
-            "parallel replay domains per what-if run (total transient \
-             domains ≈ workers × replay-workers; outcomes are identical at \
-             any value)")
+            "lanes of each what-if's simulated parallel-replay makespan \
+             (replay itself is serial; outcomes are identical at any value)")
   in
   let queue_capacity =
     Arg.(

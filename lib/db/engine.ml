@@ -33,10 +33,6 @@ type t = {
   mutable written : string list; (* table names, most recent first *)
   mutable rows_written : int;
   mutable trigger_depth : int;
-  (* parallel replay pins each statement's inserts to a private rowid
-     range: base + k for the k-th inserted row, identical at every
-     worker count *)
-  mutable rowid_alloc : (int * int ref) option;
   (* periodic catalog snapshots for checkpoint-jumping rollback *)
   mutable checkpoints : Checkpoint.t option;
 }
@@ -60,7 +56,6 @@ let of_catalog ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
     written = [];
     rows_written = 0;
     trigger_depth = 0;
-    rowid_alloc = None;
     checkpoints = None;
   }
 
@@ -82,7 +77,6 @@ let create ?(seed = 42) ?(rtt_ms = 1.0) ?(enforce_fk = false)
     written = [];
     rows_written = 0;
     trigger_depth = 0;
-    rowid_alloc = None;
     checkpoints = None;
   }
 
@@ -126,14 +120,7 @@ let mark_written t name =
   | _ -> if not (List.mem name t.written) then t.written <- name :: t.written
 
 let j_insert t tbl row =
-  let id =
-    match t.rowid_alloc with
-    | Some (base, k) ->
-        let id = base + !k in
-        incr k;
-        Storage.insert_at tbl id row
-    | None -> Storage.insert tbl row
-  in
+  let id = Storage.insert tbl row in
   t.journal <- Log.U_row_insert (Storage.name tbl, id, Array.copy row) :: t.journal;
   mark_written t (Storage.name tbl);
   t.rows_written <- t.rows_written + 1;
@@ -1782,13 +1769,12 @@ let try_plan t (p : plan) : result option =
 (* Top-level entry points                                               *)
 (* ------------------------------------------------------------------ *)
 
-let begin_statement ?rowid_base t nondet =
+let begin_statement t nondet =
   t.journal <- [];
   t.nondet_in <- nondet;
   t.nondet_out <- [];
   t.written <- [];
-  t.rows_written <- 0;
-  t.rowid_alloc <- Option.map (fun b -> (b, ref 0)) rowid_base
+  t.rows_written <- 0
 
 (* Statement text attached to Sql_error so chaos-run failures are
    diagnosable from the message alone; long statements are clipped. *)
@@ -1799,8 +1785,8 @@ let error_context t stmt =
   in
   Printf.sprintf " [at log index %d: %s]" (Log.length t.log + 1) sql
 
-let exec ?app_txn ?(nondet = []) ?rowid_base ?plan t stmt =
-  begin_statement ?rowid_base t nondet;
+let exec ?app_txn ?(nondet = []) ?plan t stmt =
+  begin_statement t nondet;
   Uv_util.Clock.charge_rtt t.clock ();
   (* pre-statement state: an injected (infrastructure) fault restores all
      of it so a retried statement reenacts exactly — an application-level

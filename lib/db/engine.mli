@@ -100,7 +100,6 @@ val prepare : Catalog.t -> Ast.stmt -> plan option
 val exec :
   ?app_txn:string ->
   ?nondet:Value.t list ->
-  ?rowid_base:int ->
   ?plan:plan ->
   t ->
   Ast.stmt ->
@@ -110,10 +109,7 @@ val exec :
     RAND()/NOW()/AUTO_INCREMENT draws in order (retroactive replay);
     draws beyond the list fall back to fresh values (retroactively *added*
     queries, §4.4). [~app_txn] tags the entry with the application-level
-    transaction that issued it. [~rowid_base] pins the statement's row
-    inserts to rowids [base], [base + 1], ... — the wave executor gives
-    each replayed statement a private range so physical row placement is
-    deterministic at every worker count. [~plan] must be a plan
+    transaction that issued it. [~plan] must be a plan
     {!prepare}d from this very statement (the what-if session caches
     plans keyed by log-entry identity); a plan that no longer binds is
     ignored in favour of the interpreter. *)

@@ -6,9 +6,8 @@
     capped {e segments} (each a standalone ULOGv2 file) described by a
     small manifest, so every path streams one segment at a time: peak
     resident log memory is one segment plus the manifest, regardless of
-    history length. This is the unified persistence surface; the
-    file-granular entry points on {!Log_io} and {!Dump} are deprecated
-    shims over the [*_file] helpers below.
+    history length. This is the unified persistence surface: it also
+    owns the one-file formats, through the [*_file] helpers below.
 
     {2 Layout}
 
@@ -102,8 +101,8 @@ val open_ :
     only the manifest resident. [fault] probes
     {!Uv_fault.Fault.Site.log_save} with [Torn_write] on every file the
     store writes (stream key = the segment's sequence number; [0] for
-    the manifest), matching the [Log_io.save] contract: the tear leaves
-    a prefix in the temp file, skips the rename and raises
+    the manifest), matching the {!save_log_file} contract: the tear
+    leaves a prefix in the temp file, skips the rename and raises
     [Uv_fault.Fault.Injected].
     @raise Error on an unreadable or corrupt manifest. *)
 
@@ -267,10 +266,10 @@ val read_dump : t -> Engine.t -> bool
 
 (** {2 Single-file helpers}
 
-    The legacy one-file formats under the unified error type — the
-    non-deprecated homes of [Log_io.save]/[load]/[load_salvage],
-    [Dump.save]/[load] and [Dump.save_checkpoints]/[load_checkpoints].
-    Same bytes, same fault sites, same atomic-write protocol. *)
+    The one-file formats (a ULOGv2 log, a {!Dump} script, a UCKPv1
+    ladder) under the unified error type. Saves are atomic (temp file,
+    fsync, rename) and probe the [log_save], [dump_save] and
+    [checkpoint_save] fault sites with [Torn_write]. *)
 
 val is_store : string -> bool
 (** Does the path name a store directory (existing directory that is

@@ -23,13 +23,13 @@ type col = {
 }
 
 type t = {
-  (* Guards every access during parallel replay (Wave_exec): the wave
-     layering keeps conflicting statements in different waves, but
-     same-wave statements may still touch disjoint rows of one table,
-     and the slot arrays are not domain-safe even for disjoint slots
-     (growth reallocates). The lock is the writer-priority [Rwlock]
-     variant, so a mutation queued behind a stream of concurrent scans
-     is admitted as soon as the already-running read sections drain.
+  (* Guards every access from concurrent domains (served what-ifs
+     snapshot and hash the live tables side by side): the slot arrays
+     are not domain-safe even for disjoint slots (growth reallocates,
+     and a copy-on-write snapshot shares them until the first write).
+     The lock is the writer-priority [Rwlock] variant, so a mutation
+     queued behind a stream of concurrent scans is admitted as soon as
+     the already-running read sections drain.
      Writer priority makes nested read acquisition a deadlock, so scan
      callbacks and [Col] predicates must never re-enter this table's
      lock: predicates are pure row functions, and the engine collects
@@ -462,13 +462,6 @@ let insert t row =
       id)
 
 let insert_with_rowid t id row = locked t (fun () -> insert_unlocked t id row)
-
-let insert_at t id row =
-  locked t (fun () ->
-      if Hashtbl.mem t.slots id then
-        invalid_arg "Storage.insert_at: rowid already in use";
-      insert_unlocked t id row;
-      id)
 
 let delete_unlocked t id =
   match Hashtbl.find_opt t.slots id with

@@ -16,9 +16,8 @@
     readers-writer lock in its writer-priority variant — reads (scans,
     lookups, hash) share it, mutations are exclusive, and a queued
     writer blocks new reader admissions so scan streams cannot starve
-    it. Statements touching disjoint tables, or disjoint rows of one
-    table as scheduled by the wave executor, may run on concurrent
-    domains. Under writer priority, nested read acquisition can
+    it, so concurrent domains (served what-ifs snapshotting and hashing
+    live tables) may share a table. Under writer priority, nested read acquisition can
     deadlock, so the callbacks of [iter]/[fold] and the predicates of
     {!Col.select} must be pure row functions that never re-enter this
     table's lock — the engine collects matching rows before mutating or
@@ -64,11 +63,6 @@ val insert : t -> Value.t array -> rowid
 
 val insert_with_rowid : t -> rowid -> Value.t array -> unit
 (** Re-insert a row under a known rowid (undo of a delete). *)
-
-val insert_at : t -> rowid -> Value.t array -> rowid
-(** Insert under an explicit fresh rowid, raising [Invalid_argument] if
-    the rowid is taken. Parallel replay pins each statement to a private
-    rowid range so allocation is deterministic at every worker count. *)
 
 val next_rowid : t -> rowid
 (** The rowid the next plain [insert] would use. *)

@@ -1,4 +1,4 @@
-type kind = Stmt_fail | Worker_crash | Torn_write | Slow
+type kind = Stmt_fail | Torn_write
 
 type injection = {
   site : string;
@@ -36,17 +36,8 @@ let make policy =
       fired_rev = [];
     }
 
-let seeded ?(stmt_fail = 0.0) ?(worker_crash = 0.0) ?(torn_write = 0.0)
-    ?(slow = 0.0) ~seed () =
-  make
-    (Seeded
-       ( seed,
-         [
-           (Stmt_fail, stmt_fail);
-           (Worker_crash, worker_crash);
-           (Torn_write, torn_write);
-           (Slow, slow);
-         ] ))
+let seeded ?(stmt_fail = 0.0) ?(torn_write = 0.0) ~seed () =
+  make (Seeded (seed, [ (Stmt_fail, stmt_fail); (Torn_write, torn_write) ]))
 
 let script plan = make (Script plan)
 
@@ -75,8 +66,7 @@ let decide policy site key hit kinds =
               let arg =
                 match k with
                 | Torn_write -> Uv_util.Prng.float prng 1.0
-                | Slow -> 0.2 +. Uv_util.Prng.float prng 2.0
-                | Stmt_fail | Worker_crash -> 0.0
+                | Stmt_fail -> 0.0
               in
               Some { site; key; hit; kind = k; arg }
             else pick (acc +. p) rest
@@ -113,17 +103,13 @@ let fired = function Off -> [] | On st -> List.rev st.fired_rev
 
 let kind_name = function
   | Stmt_fail -> "stmt-fail"
-  | Worker_crash -> "worker-crash"
   | Torn_write -> "torn-write"
-  | Slow -> "slow"
 
 module Site = struct
   let engine_exec = "engine.exec"
   let engine_commit = "engine.commit"
   let log_save = "log_io.save"
   let dump_save = "dump.save"
-  let worker = "domain_pool.worker"
-  let wave = "wave_exec.wave"
   let checkpoint = "engine.checkpoint"
   let checkpoint_save = "checkpoint.save"
   let serve_ingest_append = "serve.ingest.append"

@@ -4,11 +4,11 @@
     a single immutable constructor and every probe short-circuits on it,
     so production code pays one pattern match per site when faults are
     off. With an injector installed, named sites scattered through the
-    engine, the durable-log writer, the domain pool and the wave
-    executor ask [check] whether a fault fires {e here, now} — and the
-    answer is a pure function of the injector's seed and the probe's
-    coordinates, never of wall-clock time or domain scheduling, so a
-    failing chaos run replays exactly from its seed.
+    engine, the log store and the durable-ingest path ask [check]
+    whether a fault fires {e here, now} — and the answer is a pure
+    function of the injector's seed and the probe's coordinates, never
+    of wall-clock time or domain scheduling, so a failing chaos run
+    replays exactly from its seed.
 
     {2 Coordinates}
 
@@ -22,9 +22,7 @@
 
 type kind =
   | Stmt_fail  (** statement aborts mid-flight; engine must roll back *)
-  | Worker_crash  (** a pool domain dies; its items must be re-run *)
   | Torn_write  (** a file write stops after a prefix of the bytes *)
-  | Slow  (** a worker stalls for [arg] milliseconds *)
 
 type injection = {
   site : string;
@@ -32,8 +30,8 @@ type injection = {
   hit : int;  (** 1-based attempt number within the [(site, key)] stream *)
   kind : kind;
   arg : float;
-      (** [Torn_write]: fraction of the bytes written, in [0, 1);
-          [Slow]: stall in milliseconds; [0.] otherwise *)
+      (** [Torn_write]: fraction of the bytes written, in [0, 1); [0.]
+          otherwise *)
 }
 
 exception Injected of injection
@@ -49,14 +47,7 @@ val disabled : t
 
 val enabled : t -> bool
 
-val seeded :
-  ?stmt_fail:float ->
-  ?worker_crash:float ->
-  ?torn_write:float ->
-  ?slow:float ->
-  seed:int ->
-  unit ->
-  t
+val seeded : ?stmt_fail:float -> ?torn_write:float -> seed:int -> unit -> t
 (** Probabilistic injector: each probe fires kind [k] with the given
     probability (all default [0.]), decided by hashing
     [(seed, site, key, hit)] — deterministic and schedule-independent. *)
@@ -90,19 +81,13 @@ module Site : sig
       committed ([Stmt_fail]) — exercises the full journal rollback. *)
 
   val log_save : string
-  (** Probed by [Log_io.save] ([Torn_write]): the temp file receives
-      only a prefix and the rename is skipped. *)
+  (** Probed by [Log_store.save_log_file] and by every segment and
+      manifest write of a [Log_store] directory ([Torn_write]): the temp
+      file receives only a prefix and the rename is skipped. *)
 
   val dump_save : string
-  (** Probed by [Dump.save] ([Torn_write]). *)
-
-  val worker : string
-  (** Probed on the pool domain about to replay an item
-      ([Worker_crash], [Slow]); key = the item's commit index. *)
-
-  val wave : string
-  (** Probed at each wave-batch boundary ([Worker_crash] models a
-      domain found dead between waves and triggers degradation). *)
+  (** Probed by [Log_store.save_dump_file] and [Log_store.write_dump]
+      ([Torn_write]). *)
 
   val checkpoint : string
   (** Probed when the engine is about to record a checkpoint rung
@@ -111,7 +96,8 @@ module Site : sig
       index the rung would cover. *)
 
   val checkpoint_save : string
-  (** Probed by [Dump.save_checkpoints] ([Torn_write]): the checkpoint
+  (** Probed by [Log_store.save_checkpoints_file] and
+      [Log_store.write_checkpoints] ([Torn_write]): the checkpoint
       file receives only a prefix and the rename is skipped, so recovery
       must reject it on CRC and fall back to undo-only rollback. *)
 

@@ -1,11 +1,11 @@
 (** Tracing and metrics collector for the what-if pipeline.
 
-    One [t] is threaded through a pipeline run (engine, analyzer, wave
-    executor, driver). It collects three kinds of data:
+    One [t] is threaded through a pipeline run (engine, analyzer,
+    driver, serve daemon). It collects three kinds of data:
 
     - {b spans} — named intervals with monotonic start/duration
       ([Uv_util.Clock.now_ms]) tagged with the OCaml domain that recorded
-      them, so parallel replay renders as one lane per domain;
+      them, so concurrent served requests render as one lane per domain;
     - {b counters} — monotonically increasing named integers;
     - {b histograms} — named distributions with count/sum/min/max and
       p50/p95 over a bounded sample reservoir.

@@ -99,12 +99,6 @@ type t = {
   mutable scratch_members : int array; (* epoch-stamped; 0 = never *)
   mutable scratch_excluded : int array;
   mutable closure_epoch : int;
-  mutable dep_edges_cache : (bool array * (int * int) list) option;
-      (* last [dependency_edges] result keyed by its member set: every
-         run of one what-if target asks for the same edges (replay
-         scheduling, then the cost model), and repeated what-ifs over an
-         unchanged history hit it too. The pair is immutable, so a racy
-         publish is harmless — a loser just recomputes. *)
 }
 
 let length t = Array.length t.infos
@@ -266,7 +260,6 @@ let create ?(config = Rowset.default_config) ?base source =
     scratch_members = [||];
     scratch_excluded = [||];
     closure_epoch = 0;
-    dep_edges_cache = None;
   }
 
 let extend ?(obs = Uv_obs.Trace.disabled) t =
@@ -296,7 +289,6 @@ let extend ?(obs = Uv_obs.Trace.disabled) t =
             index_info t inf));
     t.infos <- Array.append t.infos (Array.of_list (List.rev !batch));
     t.joinable_cache <- None;
-    t.dep_edges_cache <- None;
     Uv_obs.Trace.with_span obs ~cat:"analyze" "analyze.index" (fun () ->
         let gen = Rowset.merge_generation t.row_state in
         if gen <> t.indexed_generation then begin
@@ -1131,7 +1123,7 @@ let explain_report ?mode ?grouped t (target : target) =
   (rs, List.rev !lines)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler edges                                                      *)
+(* Replay conflict edges                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* value tokens of an entry for one table, over the first RI dimension:
@@ -1155,7 +1147,7 @@ let entry_row_tokens t (inf : info) table ~write =
               s [])
   | _ -> [ "*" ]
 
-let dependency_edges_uncached t ~members =
+let dependency_edges t ~members =
   (* Conflict edges at cell granularity: accesses are bucketed by
      (column, first-RI-dimension value), so row-disjoint chains stay
      parallel (the source of TPC-C's and SEATS' replay parallelism,
@@ -1244,99 +1236,6 @@ let dependency_edges_uncached t ~members =
       end)
     t.infos;
   List.sort_uniq compare !edges
-
-let dependency_edges t ~members =
-  match t.dep_edges_cache with
-  | Some (m, e) when m = members -> e
-  | _ ->
-      let e = dependency_edges_uncached t ~members in
-      t.dep_edges_cache <- Some (Array.copy members, e);
-      e
-
-(* Write-write edges between members writing overlapping rows of one
-   table, regardless of which columns they assign. [dependency_edges]
-   works per column, so two updates hitting *different columns of the
-   same row* are invisible to it — harmless for the simulated makespan,
-   but fatal for real parallel execution, where [Storage.update]
-   replaces the whole row array and the later commit must see the
-   earlier one's cells. Chains collapse to last-writer edges; wave
-   layering restores transitivity. *)
-let write_write_table_edges t ~members =
-  let edges = ref [] in
-  let last_writer : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
-  let toks_of_table : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  let note_tok table v =
-    let l =
-      match Hashtbl.find_opt toks_of_table table with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.replace toks_of_table table l;
-          l
-    in
-    if not (List.mem v !l) then l := v :: !l
-  in
-  let write_tables (rw : Rwset.rw) =
-    Rwset.Colset.fold
-      (fun key acc ->
-        if is_schema_key key then acc
-        else
-          match String.index_opt key '.' with
-          | Some i -> String.sub key 0 i :: acc
-          | None -> acc)
-      rw.Rwset.w []
-    |> List.sort_uniq compare
-  in
-  Array.iter
-    (fun inf ->
-      if members.(inf.index - 1) then begin
-        let i = inf.index in
-        List.iter
-          (fun table ->
-            let toks = entry_row_tokens t inf table ~write:true in
-            let edge_to j = if j <> i then edges := (i, j) :: !edges in
-            List.iter
-              (fun v ->
-                if v = "*" then (
-                  match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter
-                        (fun v' ->
-                          Option.iter edge_to
-                            (Hashtbl.find_opt last_writer (table, v')))
-                        !all
-                  | None -> ())
-                else begin
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, v));
-                  Option.iter edge_to (Hashtbl.find_opt last_writer (table, "*"))
-                end)
-              toks;
-            List.iter
-              (fun v ->
-                if v = "*" then begin
-                  (* a wildcard write is now the last writer of every row *)
-                  (match Hashtbl.find_opt toks_of_table table with
-                  | Some all ->
-                      List.iter
-                        (fun v' -> Hashtbl.replace last_writer (table, v') i)
-                        !all
-                  | None -> ());
-                  note_tok table "*";
-                  Hashtbl.replace last_writer (table, "*") i
-                end
-                else begin
-                  note_tok table v;
-                  Hashtbl.replace last_writer (table, v) i
-                end)
-              toks)
-          (write_tables inf.rw)
-      end)
-    t.infos;
-  List.sort_uniq compare !edges
-
-let exec_dependency_edges t ~members =
-  List.sort_uniq compare
-    (dependency_edges t ~members @ write_write_table_edges t ~members)
 
 let to_dot t ~members =
   let buf = Buffer.create 1024 in

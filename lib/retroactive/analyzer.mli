@@ -184,11 +184,6 @@ val row_merge_generation : t -> int
 (** Generation counter of the RI alias/merge state; external value-keyed
     caches must be rebuilt when it changes. *)
 
-val write_write_table_edges : t -> members:bool array -> (int * int) list
-(** The row-level write-write ordering edges that [exec_dependency_edges]
-    adds on top of [dependency_edges]: any two members writing
-    overlapping rows of one table, even through disjoint columns. *)
-
 type provenance = {
   p_col_via : int option;
       (** parent in the column-wise closure: [Some 0] — pulled in directly
@@ -221,15 +216,9 @@ val explain_report :
     ["#12 UPDATE <- columns {stock.qty} with #7; rows {stock=42} with #7"]. *)
 
 val dependency_edges : t -> members:bool array -> (int * int) list
-(** Conflict edges (n, m) with m < n among 𝕀 members, for the replay
-    scheduler: n must run after m. *)
-
-val exec_dependency_edges : t -> members:bool array -> (int * int) list
-(** [dependency_edges] strengthened for *real* parallel execution:
-    additionally orders any two members that write overlapping rows of
-    one table, even through disjoint columns — whole-row storage updates
-    make such writes physically conflicting although the cell-wise model
-    keeps them independent. Superset of [dependency_edges]. *)
+(** Conflict edges (n, m) with m < n among 𝕀 members, for the simulated
+    parallel-replay makespan ({!Conflict_dag.makespan}): n must run
+    after m. *)
 
 val tables_of_rw : Rwset.rw -> string list
 (** Real tables (not [_S] objects) appearing in a column set. *)

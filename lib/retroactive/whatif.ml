@@ -4,7 +4,6 @@ module Config = struct
     workers : int;
     hash_jumper : bool;
     grouped : bool;
-    parallel_exec : bool;
     obs : Uv_obs.Trace.t;
     deadline_ms : float option;
     fault : Uv_fault.Fault.t;
@@ -13,8 +12,7 @@ module Config = struct
   }
 
   let make ?(mode = Analyzer.Cell) ?(workers = 8) ?(hash_jumper = false)
-      ?(grouped = false) ?(parallel_exec = true)
-      ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
+      ?(grouped = false) ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
       ?(fault = Uv_fault.Fault.disabled) ?(checkpoint_every = 0)
       ?(plans = true) () =
     {
@@ -22,7 +20,6 @@ module Config = struct
       workers = max 1 workers;
       hash_jumper;
       grouped;
-      parallel_exec;
       obs;
       deadline_ms;
       fault;
@@ -35,7 +32,6 @@ module Config = struct
   let workers c = c.workers
   let hash_jumper c = c.hash_jumper
   let grouped c = c.grouped
-  let parallel_exec c = c.parallel_exec
   let obs c = c.obs
   let deadline_ms c = c.deadline_ms
   let fault c = c.fault
@@ -80,7 +76,6 @@ type outcome = {
   phases : (string * float) list;
   final_db_hash : int64;
   changed : bool;
-  degraded : bool;
   retries : int;
   temp_catalog : Uv_db.Catalog.t;
   new_log : Uv_db.Log.t;
@@ -97,36 +92,6 @@ let member_indexes (rs : Analyzer.replay_set) =
   let out = ref [] in
   Array.iteri (fun i b -> if b then out := (i + 1) :: !out) rs.Analyzer.members;
   List.rev !out
-
-let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
-
-let write_tables (rw : Rwset.rw) =
-  Rwset.Colset.fold
-    (fun key acc ->
-      if is_schema_key key then acc
-      else
-        match String.index_opt key '.' with
-        | Some i -> String.sub key 0 i :: acc
-        | None -> acc)
-    rw.Rwset.w []
-  |> List.sort_uniq compare
-
-(* Serial fallback conditions (see DESIGN.md §parallel replay executor):
-   the wave executor handles DML only. DDL members (or a DDL target)
-   mutate the schema mid-replay, and the Hash-jumper needs commit-prefix
-   semantics that waves do not provide. *)
-let parallel_eligible (config : Config.t) ~analyzer target members =
-  config.Config.parallel_exec
-  && (not config.Config.hash_jumper)
-  && (match target.Analyzer.op with
-     | Analyzer.Add s | Analyzer.Change s -> not (Uv_sql.Ast.is_ddl s)
-     | Analyzer.Remove -> true)
-  && List.for_all
-       (fun i ->
-         let inf = Analyzer.info analyzer i in
-         (not (Uv_sql.Ast.is_ddl inf.Analyzer.stmt))
-         && not (Rwset.Colset.exists is_schema_key inf.Analyzer.rw.Rwset.w))
-       members
 
 (* Checkpoint-jumping rollback (strategy B): instead of undoing every
    member newest-first, jump each affected table back to the nearest
@@ -243,10 +208,10 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     "whatif"
   @@ fun () ->
   let t0 = Uv_util.Clock.now_ms () in
-  (* the wall-clock budget: checked at every phase boundary, before every
-     serial statement and at every parallel wave boundary — an abort
-     leaves the original engine untouched (only the temporary universe is
-     mid-flight, and it is discarded with the exception) *)
+  (* the wall-clock budget: checked at every phase boundary and before
+     every replayed statement — an abort leaves the original engine
+     untouched (only the temporary universe is mid-flight, and it is
+     discarded with the exception) *)
   let deadline_at =
     Option.map (fun d -> t0 +. d) config.Config.deadline_ms
   in
@@ -350,18 +315,16 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
             undo_list;
         (List.length undo_list, if jumped then "checkpoint" else "undo"))
   in
-  (* 4. replay forward: real parallel waves when eligible, else serial *)
+  (* 4. replay forward: the retroactive operation, then every member in
+     commit order on one temporary engine *)
   let weights : (int, float) Hashtbl.t = Hashtbl.create 64 in
   (* successful replays by commit index; the retroactive op is 0 *)
   let entry_of : (int, Uv_db.Log.entry) Hashtbl.t = Hashtbl.create 64 in
   let failed = ref 0 in
   let replayed = ref 0 in
   let hash_jump_at = ref None in
-  let measured_parallel_ms = ref None in
-  let exec_waves = ref 0 in
   let retries = ref 0 in
-  let degraded = ref false in
-  (* compiled plans from the session cache, one lookup per member *)
+  (* compiled plans from the service cache, one lookup per member *)
   let member_plans = List.map (fun i -> (i, plan_for i)) members in
   let plans_used =
     List.length (List.filter (fun (_, p) -> Option.is_some p) member_plans)
@@ -369,157 +332,80 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   if plans_used > 0 then
     Uv_obs.Trace.incr obs ~by:plans_used "whatif.plans_used";
   phase "replay" (fun () ->
-  if parallel_eligible config ~analyzer target members then begin
-    let stride = 1 lsl 20 in
-    let r0 =
-      (* a private rowid range per statement, above everything live —
-         including ranges a previous what-if stamped into this universe *)
-      let mx =
-        List.fold_left
-          (fun acc (_, st) -> max acc (Uv_db.Storage.next_rowid st))
-          0
-          (Uv_db.Catalog.tables temp_cat)
-      in
-      ((mx / stride) + 1) * stride
-    in
-    let structural_tables =
-      List.filter_map
-        (fun (name, _) ->
-          if
-            List.exists
-              (fun ev -> Uv_db.Catalog.triggers_for temp_cat name ev <> [])
-              [ Uv_sql.Ast.Ev_insert; Uv_sql.Ast.Ev_update; Uv_sql.Ast.Ev_delete ]
-          then Some name
-          else None)
-        (Uv_db.Catalog.tables temp_cat)
-    in
-    let items =
-      List.map
-        (fun (i, plan) ->
-          let entry = Uv_db.Log.entry log i in
-          let inf = Analyzer.info analyzer i in
-          {
-            Wave_exec.idx = i;
-            stmt = entry.Uv_db.Log.stmt;
-            nondet = entry.Uv_db.Log.nondet;
-            app_txn = entry.Uv_db.Log.app_txn;
-            sim_time = 1_700_000_000 + i;
-            rowid_base = r0 + (i * stride);
-            structural =
-              List.exists
-                (fun t -> List.mem t structural_tables)
-                (write_tables inf.Analyzer.rw);
-            plan;
-          })
-        member_plans
-    in
-    let head =
-      match target.Analyzer.op with
-      | Analyzer.Add s | Analyzer.Change s ->
-          Some
-            {
-              Wave_exec.idx = 0;
-              stmt = s;
-              nondet = [];
-              app_txn = None;
-              sim_time = 1_700_000_000 + target.Analyzer.tau;
-              rowid_base = r0;
-              structural = true;
-              plan = None;
-            }
-      | Analyzer.Remove -> None
-    in
-    let exec_edges = Analyzer.exec_dependency_edges analyzer ~members:rs.Analyzer.members in
-    let res =
-      Wave_exec.execute ~obs ~fault ~should_abort:deadline_hit
-        ~workers:config.Config.workers ~rtt_ms:rtt ~catalog:temp_cat ~head
-        ~items ~edges:exec_edges ()
-    in
-    Hashtbl.iter (fun k v -> Hashtbl.replace weights k v) res.Wave_exec.durations;
-    Hashtbl.iter (fun k v -> Hashtbl.replace entry_of k v) res.Wave_exec.entries;
-    failed := res.Wave_exec.failed;
-    replayed := List.length members;
-    measured_parallel_ms := Some res.Wave_exec.measured_ms;
-    exec_waves := res.Wave_exec.wave_count;
-    retries := res.Wave_exec.retries;
-    degraded := res.Wave_exec.degraded
-  end
-  else begin
-    let temp_eng = Uv_db.Engine.of_catalog ~rtt_ms:rtt ~obs ~fault temp_cat in
-    let temp_log = Uv_db.Engine.log temp_eng in
-    let exec_timed ?app_txn ?nondet ?plan idx stmt =
-      check_deadline ();
-      let s = Uv_util.Clock.now_ms () in
-      let len0 = Uv_db.Log.length temp_log in
-      (* an injected statement fault was rolled back with the engine's
-         clock and PRNG restored, so one retry reenacts the statement
-         exactly; a second injection aborts the run *)
-      let rec attempt again =
-        try
-          ignore (Uv_db.Engine.exec ?app_txn ?nondet ?plan temp_eng stmt);
-          if Uv_db.Log.length temp_log > len0 then
-            Hashtbl.replace entry_of idx (Uv_db.Log.entry temp_log (len0 + 1))
-        with
-        | Uv_db.Engine.Signal_raised _ | Uv_db.Engine.Sql_error _ ->
-            incr failed
-        | Uv_fault.Fault.Injected inj ->
-            if again then
-              raise
-                (Abort
-                   {
-                     Error.code = Error.Fault;
-                     phase = !cur_phase;
-                     message = fault_message inj ^ " persisted after retry";
-                   })
-            else begin
-              incr retries;
-              attempt true
-            end
-      in
-      attempt false;
-      let d = Uv_util.Clock.now_ms () -. s in
-      Hashtbl.replace weights idx d
-    in
-    (* the retroactive operation itself, just before τ *)
-    (match target.Analyzer.op with
-    | Analyzer.Add stmt | Analyzer.Change stmt ->
-        Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + target.Analyzer.tau);
-        exec_timed 0 stmt
-    | Analyzer.Remove -> ());
-    (try
-       List.iteri
-         (fun pos (i, plan) ->
-           let entry = Uv_db.Log.entry log i in
-           Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + i);
-           exec_timed ~nondet:entry.Uv_db.Log.nondet
-             ?app_txn:entry.Uv_db.Log.app_txn ?plan i entry.Uv_db.Log.stmt;
-           incr replayed;
-           match jumper with
-           | Some exp ->
-               Uv_obs.Trace.incr obs "hash_jumper.checks";
-               if Hash_jumper.converged exp temp_cat ~member_pos:pos then begin
-                 Uv_obs.Trace.incr obs "hash_jumper.hits";
-                 Uv_obs.Trace.instant obs "hash_jumper.hit"
-                   ~args:[ ("index", Uv_obs.Json.Int i) ];
-                 hash_jump_at := Some i;
-                 raise Exit
-               end
-               else Uv_obs.Trace.incr obs "hash_jumper.misses"
-           | None -> ())
-         member_plans
-     with Exit -> ());
-    (* on a hash-hit the original tables are retained (§4.5): reflect the
-       original's affected tables in the temporary catalog so the outcome's
-       universe is consistent *)
-    match !hash_jump_at with
-    | Some _ ->
-        Uv_db.Catalog.copy_tables_into (Uv_db.Engine.catalog eng) ~into:temp_cat
-          affected;
-        (* on a hit the original timeline is retained wholesale, schema
-           objects included *)
-        Uv_db.Catalog.copy_objects_into (Uv_db.Engine.catalog eng) ~into:temp_cat
-    | None -> ()
-  end);
+        let temp_eng = Uv_db.Engine.of_catalog ~rtt_ms:rtt ~obs ~fault temp_cat in
+        let temp_log = Uv_db.Engine.log temp_eng in
+        let exec_timed ?app_txn ?nondet ?plan idx stmt =
+          check_deadline ();
+          let s = Uv_util.Clock.now_ms () in
+          let len0 = Uv_db.Log.length temp_log in
+          (* an injected statement fault was rolled back with the engine's
+             clock and PRNG restored, so one retry reenacts the statement
+             exactly; a second injection aborts the run *)
+          let rec attempt again =
+            try
+              ignore (Uv_db.Engine.exec ?app_txn ?nondet ?plan temp_eng stmt);
+              if Uv_db.Log.length temp_log > len0 then
+                Hashtbl.replace entry_of idx (Uv_db.Log.entry temp_log (len0 + 1))
+            with
+            | Uv_db.Engine.Signal_raised _ | Uv_db.Engine.Sql_error _ ->
+                incr failed
+            | Uv_fault.Fault.Injected inj ->
+                if again then
+                  raise
+                    (Abort
+                       {
+                         Error.code = Error.Fault;
+                         phase = !cur_phase;
+                         message = fault_message inj ^ " persisted after retry";
+                       })
+                else begin
+                  incr retries;
+                  attempt true
+                end
+          in
+          attempt false;
+          let d = Uv_util.Clock.now_ms () -. s in
+          Hashtbl.replace weights idx d
+        in
+        (* the retroactive operation itself, just before τ *)
+        (match target.Analyzer.op with
+        | Analyzer.Add stmt | Analyzer.Change stmt ->
+            Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + target.Analyzer.tau);
+            exec_timed 0 stmt
+        | Analyzer.Remove -> ());
+        (try
+           List.iteri
+             (fun pos (i, plan) ->
+               let entry = Uv_db.Log.entry log i in
+               Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + i);
+               exec_timed ~nondet:entry.Uv_db.Log.nondet
+                 ?app_txn:entry.Uv_db.Log.app_txn ?plan i entry.Uv_db.Log.stmt;
+               incr replayed;
+               match jumper with
+               | Some exp ->
+                   Uv_obs.Trace.incr obs "hash_jumper.checks";
+                   if Hash_jumper.converged exp temp_cat ~member_pos:pos then begin
+                     Uv_obs.Trace.incr obs "hash_jumper.hits";
+                     Uv_obs.Trace.instant obs "hash_jumper.hit"
+                       ~args:[ ("index", Uv_obs.Json.Int i) ];
+                     hash_jump_at := Some i;
+                     raise Exit
+                   end
+                   else Uv_obs.Trace.incr obs "hash_jumper.misses"
+               | None -> ())
+             member_plans
+         with Exit -> ());
+        (* on a hash-hit the original tables are retained (§4.5): reflect the
+           original's affected tables in the temporary catalog so the outcome's
+           universe is consistent *)
+        match !hash_jump_at with
+        | Some _ ->
+            Uv_db.Catalog.copy_tables_into (Uv_db.Engine.catalog eng) ~into:temp_cat
+              affected;
+            (* on a hit the original timeline is retained wholesale, schema
+               objects included *)
+            Uv_db.Catalog.copy_objects_into (Uv_db.Engine.catalog eng) ~into:temp_cat
+        | None -> ());
   (* 5. cost model *)
   let serial_cost_ms, simulated_parallel_ms, changed =
     phase "cost-model" (fun () ->
@@ -541,8 +427,9 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         in
         let simulated_parallel_ms =
           op_weight
-          +. Scheduler.makespan ~entries:replayed_members ~edges ~weight
-               ~workers:config.Config.workers
+          +. Conflict_dag.makespan
+               (Conflict_dag.build ~nodes:replayed_members ~edges)
+               ~weight ~workers:config.Config.workers
         in
         let changed =
           match !hash_jump_at with
@@ -608,14 +495,13 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     real_ms;
     serial_cost_ms;
     simulated_parallel_ms;
-    measured_parallel_ms = !measured_parallel_ms;
+    measured_parallel_ms = None;
     workers = config.Config.workers;
-    exec_waves = !exec_waves;
+    exec_waves = 0;
     analysis_ms;
     phases = List.rev !phases;
     final_db_hash = Uv_db.Catalog.db_hash temp_cat;
     changed;
-    degraded = !degraded;
     retries = !retries;
     temp_catalog = temp_cat;
     new_log;
@@ -626,21 +512,12 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
 let guarded cur_phase f =
   try Ok (f ()) with
   | Abort e -> Error e
-  | Wave_exec.Aborted reason ->
-      Error { Error.code = Error.Deadline; phase = !cur_phase; message = reason }
   | Uv_fault.Fault.Injected inj ->
       Error
         {
           Error.code = Error.Fault;
           phase = !cur_phase;
           message = fault_message inj ^ " persisted after retry";
-        }
-  | Uv_util.Domain_pool.Worker_exit e ->
-      Error
-        {
-          Error.code = Error.Fault;
-          phase = !cur_phase;
-          message = "worker lane died: " ^ Printexc.to_string e;
         }
   | (Out_of_memory | Stack_overflow | Assert_failure _) as e -> raise e
   | e ->
@@ -657,7 +534,7 @@ let guarded cur_phase f =
 
 module Imap = Map.Make (Int)
 
-module Service_impl = struct
+module Service = struct
   (* One immutable view of every analysis cache, published as a unit:
      readers obtain the whole set with a single atomic load and can
      never observe a half-swapped cache (analyzer from one history
@@ -692,7 +569,6 @@ module Service_impl = struct
     checkpoint_every : int;
     ingested : int;
     publishes : int;
-    sessions : int;
   }
 
   (* [t] is defined after [stats] on purpose: the two share field names
@@ -714,7 +590,6 @@ module Service_impl = struct
     plan_cache_hits : int Atomic.t;
     ingested : int Atomic.t;
     publishes : int Atomic.t;
-    sessions : int Atomic.t;
   }
 
   let make_t ~config ~rowset ~base ~pinned ~state eng =
@@ -739,7 +614,6 @@ module Service_impl = struct
       plan_cache_hits = Atomic.make 0;
       ingested = Atomic.make 0;
       publishes = Atomic.make 0;
-      sessions = Atomic.make 0;
     }
 
   let create ?(config = Config.default) ?rowset ?base eng =
@@ -875,8 +749,7 @@ module Service_impl = struct
   (* Run [f] over a snapshot that is current w.r.t. the engine's head,
      holding the read side of the lock for the whole evaluation so no
      ingest can extend the analyzer mid-run. The pull-refresh retry loop
-     keeps Session's original semantics: a what-if issued after the log
-     grew sees the grown history. *)
+     means a what-if issued after the log grew sees the grown history. *)
   let rec run_fresh t f =
     match
       Uv_util.Rwlock.read t.lock (fun () ->
@@ -934,18 +807,17 @@ module Service_impl = struct
       checkpoint_every = every;
       ingested = Atomic.get t.ingested;
       publishes = Atomic.get t.publishes;
-      sessions = Atomic.get t.sessions;
     }
 end
 
 let run_exn ?(config = Config.default) ~analyzer eng target =
-  let svc = Service_impl.of_analyzer ~config ~analyzer eng in
-  (Service_impl.run_unguarded svc target).Service_impl.outcome
+  let svc = Service.of_analyzer ~config ~analyzer eng in
+  (Service.run_unguarded svc target).Service.outcome
 
 let run ?(config = Config.default) ~analyzer eng target =
-  let svc = Service_impl.of_analyzer ~config ~analyzer eng in
-  match Service_impl.run svc target with
-  | Ok r -> Ok r.Service_impl.outcome
+  let svc = Service.of_analyzer ~config ~analyzer eng in
+  match Service.run svc target with
+  | Ok r -> Ok r.Service.outcome
   | Error e -> Error e
 
 let commit eng outcome =
@@ -962,59 +834,3 @@ let commit eng outcome =
 let query_new_universe outcome sel =
   let eng = Uv_db.Engine.of_catalog outcome.temp_catalog in
   Uv_db.Engine.query eng sel
-
-(* ------------------------------------------------------------------ *)
-(* Sessions: the single-owner view over a Service                       *)
-(* ------------------------------------------------------------------ *)
-
-module Session = struct
-  type stats = {
-    runs : int;
-    analyzer_builds : int;
-    analyzer_extends : int;
-    analyzed_entries : int;
-    plan_cache_size : int;
-    plans_compiled : int;
-    plan_cache_hits : int;
-    checkpoint_rungs : int;
-    checkpoint_every : int;
-  }
-
-  (* A session is now just a handle on a service: same caches, same
-     refresh policy, minus the service-wide counters. *)
-  type t = Service_impl.t
-
-  let create ?config ?rowset ?base eng =
-    Service_impl.create ?config ?rowset ?base eng
-
-  let engine = Service_impl.engine
-  let config = Service_impl.config
-  let invalidate = Service_impl.invalidate
-
-  let run t target =
-    match Service_impl.run t target with
-    | Ok r -> Ok r.Service_impl.outcome
-    | Error e -> Error e
-
-  let stats t =
-    let s = Service_impl.stats t in
-    {
-      runs = s.Service_impl.runs;
-      analyzer_builds = s.Service_impl.analyzer_builds;
-      analyzer_extends = s.Service_impl.analyzer_extends;
-      analyzed_entries = s.Service_impl.analyzed_entries;
-      plan_cache_size = s.Service_impl.plan_cache_size;
-      plans_compiled = s.Service_impl.plans_compiled;
-      plan_cache_hits = s.Service_impl.plan_cache_hits;
-      checkpoint_rungs = s.Service_impl.checkpoint_rungs;
-      checkpoint_every = s.Service_impl.checkpoint_every;
-    }
-end
-
-module Service = struct
-  include Service_impl
-
-  let open_session t =
-    Atomic.incr t.sessions;
-    t
-end

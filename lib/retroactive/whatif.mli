@@ -11,15 +11,14 @@
     + rolls back 𝕀's entries in reverse commit order by applying their
       logged inverse operations (rollback option (i) of §5's
       implementation list, made selective by the dependency analysis);
-    + applies the retroactive operation at τ and replays 𝕀 forward —
-      by default on real OCaml 5 domains, wave by wave over the conflict
-      DAG ({!Wave_exec}), falling back to serial replay for ineligible
-      histories (DDL members or targets, or when the Hash-jumper is on);
+    + applies the retroactive operation at τ and replays 𝕀 forward,
+      one member at a time in commit order, on one temporary engine;
     + optionally runs the Hash-jumper after every replayed entry and
-      early-terminates on a hash-hit (serial replay only);
-    + reports three cost views: measured serial-sum time, the simulated
-      makespan over the replay conflict DAG, and — when the parallel
-      executor ran — the measured parallel wall time.
+      early-terminates on a hash-hit;
+    + reports two cost views: the measured serial-sum time and the
+      simulated makespan over the replay conflict DAG with
+      [Config.workers] lanes (§4.4's parallel replay, the paper's
+      Table 8 number).
 
     The original engine is left untouched. [commit] performs the
     database-update step, copying the mutated tables back. *)
@@ -36,7 +35,6 @@ module Config : sig
     ?workers:int ->
     ?hash_jumper:bool ->
     ?grouped:bool ->
-    ?parallel_exec:bool ->
     ?obs:Uv_obs.Trace.t ->
     ?deadline_ms:float ->
     ?fault:Uv_fault.Fault.t ->
@@ -45,25 +43,25 @@ module Config : sig
     unit ->
     t
   (** Defaults: [mode = Cell]; [workers = 8] (the paper's testbed width;
-      clamped to at least 1); [hash_jumper = false]; [grouped = false]
-      (transaction-granularity closure, the non-transpiled "D" system);
-      [parallel_exec = true] — replay on real domains whenever the
-      history is eligible; [obs = Uv_obs.Trace.disabled] — pass a live
-      collector to trace the run (root [whatif] span, per-phase spans,
-      and every instrumented layer underneath); [deadline_ms = None] —
-      when set, the run's wall-clock budget: checked at every phase
-      boundary, before every serial statement and at every parallel wave
-      boundary, and exceeded budgets abort the run cleanly (the original
-      engine is never touched mid-run, so there is nothing to undo);
-      [fault = Uv_fault.Fault.disabled] — a fault-injection plan
-      ({!Uv_fault.Fault}) threaded into the temporary engines, the wave
-      executor and the domain pool; [checkpoint_every = 0] — when
-      positive, a {!Session} attaches a checkpoint ladder to the engine
-      snapshotting the catalog every that many commits, and the rollback
-      phase may jump to the nearest rung instead of undoing the whole
-      member tail; [plans = true] — let a {!Session} compile and cache
-      statement plans for replayed members (caches only ever amortize:
-      outcomes are bitwise-identical with both knobs off). *)
+      clamped to at least 1) — the lane count of the simulated
+      parallel-replay makespan, never of execution; [hash_jumper =
+      false]; [grouped = false] (transaction-granularity closure, the
+      non-transpiled "D" system); [obs = Uv_obs.Trace.disabled] — pass
+      a live collector to trace the run (root [whatif] span, per-phase
+      spans, and every instrumented layer underneath); [deadline_ms =
+      None] — when set, the run's wall-clock budget: checked at every
+      phase boundary and before every replayed statement, and exceeded
+      budgets abort the run cleanly (the original engine is never
+      touched mid-run, so there is nothing to undo); [fault =
+      Uv_fault.Fault.disabled] — a fault-injection plan
+      ({!Uv_fault.Fault}) threaded into the temporary engine;
+      [checkpoint_every = 0] — when positive, a {!Service} attaches a
+      checkpoint ladder to the engine snapshotting the catalog every
+      that many commits, and the rollback phase may jump to the nearest
+      rung instead of undoing the whole member tail; [plans = true] —
+      let a {!Service} compile and cache statement plans for replayed
+      members (caches only ever amortize: outcomes are
+      bitwise-identical with both knobs off). *)
 
   val default : t
   (** [make ()]. *)
@@ -72,7 +70,6 @@ module Config : sig
   val workers : t -> int
   val hash_jumper : t -> bool
   val grouped : t -> bool
-  val parallel_exec : t -> bool
   val obs : t -> Uv_obs.Trace.t
   val deadline_ms : t -> float option
   val fault : t -> Uv_fault.Fault.t
@@ -85,9 +82,8 @@ module Error : sig
   type code =
     | Deadline  (** the [deadline_ms] budget ran out *)
     | Fault
-        (** an injected (or reported) infrastructure fault persisted
-            after retry — transient faults are absorbed by statement
-            retry, batch redispatch and graceful degradation first *)
+        (** an injected infrastructure fault persisted after retry —
+            a transient statement fault is absorbed by one retry first *)
     | Internal  (** an unexpected exception; see [message] *)
 
   type t = {
@@ -127,13 +123,10 @@ type outcome = {
   simulated_parallel_ms : float;
       (** conflict-DAG list-scheduling makespan with [workers] lanes *)
   measured_parallel_ms : float option;
-      (** measured wall time of the parallel wave replay; [None] when the
-          serial path ran (ineligible history, Hash-jumper, or
-          [parallel_exec = false]) *)
-  workers : int;  (** the worker count the outcome was computed with *)
-  exec_waves : int;
-      (** executed wave batches (structural singletons included); [0]
-          on the serial path *)
+      (** always [None]: replay runs serially in commit order. Kept so
+          readers of this record keep compiling. *)
+  workers : int;  (** lanes of the simulated makespan *)
+  exec_waves : int;  (** always [0], for the same reason *)
   analysis_ms : float;  (** replay-set computation time *)
   phases : (string * float) list;
       (** wall-time breakdown of the run in execution order —
@@ -142,22 +135,16 @@ type outcome = {
           disabled (a handful of clock reads per run) *)
   final_db_hash : int64;  (** hash of the temporary universe *)
   changed : bool;  (** false when the Hash-jumper proved no effect *)
-  degraded : bool;
-      (** the parallel replay lost its worker domains and finished on the
-          caller lane; results are identical, only parallelism was lost *)
   retries : int;
       (** transient faults absorbed without affecting the outcome:
-          statement re-executions and wave redispatches *)
+          statement re-executions *)
   temp_catalog : Uv_db.Catalog.t;  (** the new universe *)
   new_log : Uv_db.Log.t;
       (** the new universe's committed history: non-members keep their
           original entries, replayed members contribute their re-executed
           entries, and the retroactive operation sits at τ. This is what
           makes scenarios branchable (§6 "Managing Many what-if
-          Scenarios"): a further what-if can analyse this log. The
-          parallel executor restamps member [written_hashes] in commit
-          order, so the log is bit-identical at every worker count —
-          and identical to what serial replay produces. *)
+          Scenarios"): a further what-if can analyse this log. *)
   rollback_strategy : string;
       (** how the rollback phase reached the pre-τ state: ["undo"] —
           selective inverse operations newest-first; ["checkpoint"] —
@@ -165,8 +152,8 @@ type outcome = {
           oldest member and redid the non-member tail from journal
           images (only when an attached ladder made that cheaper) *)
   plans_used : int;
-      (** members replayed through a compiled plan from the session's
-          cache (0 outside a {!Session} or with [Config.plans] off) *)
+      (** members replayed through a compiled plan from the service's
+          cache (0 outside a {!Service} or with [Config.plans] off) *)
 }
 
 val run :
@@ -181,7 +168,7 @@ val run :
     [final_db_hash] and [new_log] are invariant under [workers].
 
     Returns [Error] instead of raising when the run aborts: the deadline
-    expired, an injected fault persisted after retry and degradation, or
+    expired, an injected fault persisted after retry, or
     an unexpected exception escaped a phase ([Error.Internal]). In every
     [Error] case the original engine is untouched — what-if runs never
     mutate it before {!commit} — so the caller can simply retry.
@@ -208,9 +195,10 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
 (** Run a read-only query against the outcome's temporary database —
     the "what would X have been" question the analysis exists to answer. *)
 
-(** A what-if session caches analysis work across runs over the same
-    engine, making the second and later questions O(Δ) instead of
-    O(history):
+(** A thread-safe what-if service over one shared, growing history —
+    the long-lived core behind [ultraverse serve] and [ultraverse whatif
+    --repeat]. It caches analysis work across runs, making the second
+    and later questions O(Δ) instead of O(history):
 
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
@@ -222,82 +210,20 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
     - with [Config.checkpoint_every > 0] the engine records periodic
       catalog snapshots that let the rollback phase jump near τ.
 
-    Everything cached is an accelerator, never a semantic input: a
-    session's outcomes (final hash, new log) are bitwise-identical to
-    sessionless runs at every worker count.
-
-    Since the Session→Service split a session is a thin handle over a
-    {!Service} — same caches, same refresh policy — and the supported
-    constructor is {!Service.open_session}. *)
-module Session : sig
-  type t
-
-  type stats = {
-    runs : int;
-    analyzer_builds : int;  (** full history scans *)
-    analyzer_extends : int;  (** incremental O(Δ) refreshes *)
-    analyzed_entries : int;  (** log length the analyzer covers *)
-    plan_cache_size : int;  (** entries with a cached compile decision *)
-    plans_compiled : int;  (** statements that yielded a plan *)
-    plan_cache_hits : int;  (** lookups served without recompiling *)
-    checkpoint_rungs : int;  (** live rungs on the engine's ladder *)
-    checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
-  }
-
-  val create :
-    ?config:config ->
-    ?rowset:Rowset.config ->
-    ?base:Uv_db.Catalog.t ->
-    Uv_db.Engine.t ->
-    t
-  [@@ocaml.alert deprecated "use Whatif.Service.open_session"]
-  (** Attach a session to an engine. When the config asks for
-      checkpoints and the engine has no ladder yet, one is enabled —
-      rungs accumulate as the application commits from here on.
-      [rowset] and [base] are handed to every {!Analyzer.analyze} the
-      session performs (the workload's RI configuration and the catalog
-      the history grew from) — pass the same values a sessionless caller
-      would give [analyze], or the replay sets will differ.
-
-      @deprecated Construct a {!Service} and call
-      {!Service.open_session} instead; this shorthand remains for
-      single-owner scripts only. *)
-
-  val engine : t -> Uv_db.Engine.t
-  val config : t -> config
-
-  val run : t -> Analyzer.target -> (outcome, Error.t) result
-  (** {!Whatif.run} with the session's caches: refreshes the analyzer
-      (extend or rebuild as needed), then drives the what-if with cached
-      plans. *)
-
-  val invalidate : t -> unit
-  (** Drop every cache; the next {!run} rebuilds from the live engine
-      ([ultraverse recover --force] style full recompute). *)
-
-  val stats : t -> stats
-end
-
-(** A thread-safe what-if service over one shared, growing history —
-    the long-lived core behind [ultraverse serve] and every
-    single-owner {!Session}.
-
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently
-    ask what-if questions through sessions opened with
-    {!Service.open_session} (shared). Internally the analyzer,
-    compiled-plan cache and checkpoint ladder live in an immutable
-    {e snapshot} republished atomically after every ingest: a reader
-    obtains the whole cache set with one atomic load and can never
-    observe a half-swapped state (analyzer from one history length,
-    plans from another). A readers-writer lock serializes ingest
+    ask what-if questions through {!Service.run} (shared). Internally
+    the analyzer, compiled-plan cache and checkpoint ladder live in an
+    immutable {e snapshot} republished atomically after every ingest: a
+    reader obtains the whole cache set with one atomic load and can
+    never observe a half-swapped state (analyzer from one history
+    length, plans from another). A readers-writer lock serializes ingest
     against in-flight runs, because [Analyzer.extend] updates the
     analyzer inside the current snapshot in place.
 
     Everything cached is an accelerator, never a semantic input: a
     service's outcomes (final hash, new log) are bitwise-identical to
-    sessionless {!run}s at every worker count and under any
-    interleaving of ingest and queries. *)
+    sessionless {!run}s under any interleaving of ingest and queries. *)
 module Service : sig
   type t
 
@@ -321,7 +247,6 @@ module Service : sig
     checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
     ingested : int;  (** statements applied through {!ingest} *)
     publishes : int;  (** snapshot swaps *)
-    sessions : int;  (** handles opened with {!open_session} *)
   }
 
   val create :
@@ -376,11 +301,6 @@ module Service : sig
       Safe to call from any domain concurrently. [config] overrides the
       service's default per request — the serve daemon uses it to
       enforce a per-request [deadline_ms] budget. *)
-
-  val open_session : t -> Session.t
-  (** Open a what-if handle on the shared service — the supported way
-      to obtain a {!Session}. Handles are cheap (the caches live in the
-      service) and safe to use from different domains concurrently. *)
 
   val stats : t -> stats
 end

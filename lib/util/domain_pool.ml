@@ -1,222 +1,4 @@
-(* Each job carries its own atomic cursors so that a lagging worker
-   still holding last job's record cannot steal indexes from the next
-   one: its stale [next] is already past [count], so it exits its work
-   loop immediately and goes back to waiting for a fresh generation. *)
-type job = {
-  count : int;
-  fn : int -> unit;
-  next : int Atomic.t;
-  pending : int Atomic.t;
-  mutable failure : exn option; (* protected by the pool mutex *)
-}
-
-exception Worker_exit of exn
-
-type t = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable job : job option;
-  mutable gen : int;
-  mutable stop : bool;
-  mutable domains : unit Domain.t list;
-  mutable live : int; (* spawned domains still serving; pool mutex *)
-  mutable retired : bool; (* shutdown already called; pool mutex *)
-  lanes : int;
-}
-
-(* [can_die] marks a spawned worker lane: a [Worker_exit] from the work
-   function kills that lane (the domain drains nothing further and
-   returns), modelling a domain crash, while still decrementing the
-   job's pending count so the barrier always completes. The caller lane
-   never dies — it records the exception like any other failure and
-   keeps draining, so a job finishes even with every spawned domain
-   dead. Returns whether the lane died. *)
-let run_items ?(can_die = false) t job =
-  let continue_ = ref true in
-  let died = ref false in
-  while !continue_ do
-    let i = Atomic.fetch_and_add job.next 1 in
-    if i >= job.count then continue_ := false
-    else begin
-      (try job.fn i
-       with e ->
-         (match e with
-         | Worker_exit _ when can_die ->
-             died := true;
-             continue_ := false
-         | _ -> ());
-         Mutex.lock t.mutex;
-         if job.failure = None then job.failure <- Some e;
-         Mutex.unlock t.mutex);
-      if Atomic.fetch_and_add job.pending (-1) = 1 then begin
-        (* last item of the job: wake the caller waiting at the barrier *)
-        Mutex.lock t.mutex;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mutex
-      end
-    end
-  done;
-  !died
-
-let worker t =
-  let my_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock t.mutex;
-    while (not t.stop) && (t.job = None || t.gen = !my_gen) do
-      Condition.wait t.cond t.mutex
-    done;
-    if t.stop then begin
-      running := false;
-      Mutex.unlock t.mutex
-    end
-    else begin
-      let job = Option.get t.job in
-      my_gen := t.gen;
-      Mutex.unlock t.mutex;
-      if run_items ~can_die:true t job then begin
-        Mutex.lock t.mutex;
-        t.live <- t.live - 1;
-        Mutex.unlock t.mutex;
-        running := false
-      end
-    end
-  done
-
-(* Parked-pool freelist. [Domain.spawn] + [Domain.join] of a 7-lane
-   pool costs ~10ms on a small host — dwarfing the waves it serves — so
-   [shutdown] parks a healthy pool (idle workers stay blocked on the
-   condvar) and the next [create] of the same size adopts it instead of
-   spawning. Pools that lost a lane to [Worker_exit] are really joined:
-   a dead lane cannot be revived. The freelist is drained (and every
-   parked pool joined) at process exit. *)
-let park_mutex = Mutex.create ()
-let park_list : t list ref = ref []
-let park_cap = 4
-
-let destroy t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let () =
-  at_exit (fun () ->
-      Mutex.lock park_mutex;
-      let ps = !park_list in
-      park_list := [];
-      Mutex.unlock park_mutex;
-      List.iter destroy ps)
-
-let drain () =
-  Mutex.lock park_mutex;
-  let ps = !park_list in
-  park_list := [];
-  Mutex.unlock park_mutex;
-  List.iter destroy ps
-
-let create ~workers =
-  let lanes = max 1 workers in
-  (* the OCaml runtime caps live domains (128 on 64-bit); stay well under *)
-  let spawned = min (lanes - 1) 63 in
-  let adopted =
-    (* Adopt a parked pool of the requested size; join the rest. Even an
-       idle domain blocked on a condvar participates in every
-       stop-the-world minor collection (~20% tax on allocation-heavy
-       serial code with 7 of them), so mismatched pools must not
-       linger. *)
-    Mutex.lock park_mutex;
-    let mine, others = List.partition (fun p -> p.lanes = lanes) !park_list in
-    let r, leftover =
-      match mine with [] -> (None, []) | p :: rest -> (Some p, rest)
-    in
-    park_list := [];
-    Mutex.unlock park_mutex;
-    List.iter destroy others;
-    List.iter destroy leftover;
-    r
-  in
-  match adopted with
-  | Some p ->
-      p.retired <- false;
-      p
-  | None ->
-      let t =
-        {
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          job = None;
-          gen = 0;
-          stop = false;
-          domains = [];
-          live = spawned;
-          retired = false;
-          lanes;
-        }
-      in
-      t.domains <- List.init spawned (fun _ -> Domain.spawn (fun () -> worker t));
-      t
-
-let lanes t = t.lanes
-
-let live_workers t =
-  Mutex.lock t.mutex;
-  let n = t.live in
-  Mutex.unlock t.mutex;
-  n
-
-let run t ~count fn =
-  if count > 0 then begin
-    let job =
-      {
-        count;
-        fn;
-        next = Atomic.make 0;
-        pending = Atomic.make count;
-        failure = None;
-      }
-    in
-    Mutex.lock t.mutex;
-    t.job <- Some job;
-    t.gen <- t.gen + 1;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex;
-    ignore (run_items t job : bool);
-    Mutex.lock t.mutex;
-    while Atomic.get job.pending > 0 do
-      Condition.wait t.cond t.mutex
-    done;
-    t.job <- None;
-    let f = job.failure in
-    Mutex.unlock t.mutex;
-    Option.iter raise f
-  end
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  let already = t.retired || t.stop in
-  if not already then t.retired <- true;
-  let healthy = t.live = List.length t.domains in
-  Mutex.unlock t.mutex;
-  if already || t.domains = [] then ()
-  else if not healthy then destroy t
-  else begin
-    Mutex.lock park_mutex;
-    if List.length !park_list < park_cap then begin
-      park_list := t :: !park_list;
-      Mutex.unlock park_mutex
-    end
-    else begin
-      Mutex.unlock park_mutex;
-      destroy t
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bounded multi-producer task queue                                    *)
-(* ------------------------------------------------------------------ *)
+(* Bounded multi-producer task queue over spawned domains. *)
 
 module Queue = struct
   type t = {
@@ -259,8 +41,7 @@ module Queue = struct
     done
 
   let create ~workers ~capacity =
-    (* all lanes are spawned domains here: producers keep their own
-       domain, unlike the gang pool where the caller participates *)
+    (* all lanes are spawned domains: producers keep their own domain *)
     let workers = min (max 1 workers) 63 in
     let t =
       {

@@ -1,66 +1,10 @@
-(** A fixed pool of OCaml 5 domains for wave-parallel replay.
-
-    The pool is created once per parallel operation and reused across
-    waves, so the per-wave cost is a broadcast + barrier rather than
-    [Domain.spawn]. [run] distributes item indexes over the pool with an
-    atomic counter (work stealing at item granularity); the calling
-    domain participates as a lane, so [create ~workers:1] spawns no
-    domains at all and degenerates to a plain loop.
-
-    Exceptions raised by the work function are captured; the first one
-    is re-raised in the caller after the barrier. *)
-
-exception Worker_exit of exn
-(** Raised by a work function to simulate (or report) the death of the
-    executing lane. On a spawned worker domain the lane stops serving
-    and the domain returns; the item that raised counts as failed and
-    the job's barrier still completes — the caller lane never dies, so
-    a job finishes even with every spawned domain gone. [run] re-raises
-    the first failure, so the caller of [run] observes the
-    [Worker_exit] and can retry the unfinished items. *)
-
-type t
-
-val create : workers:int -> t
-(** [create ~workers] builds a pool with [workers] execution lanes
-    (the caller plus [workers - 1] spawned domains, capped at the
-    runtime's domain limit). [workers] is clamped to at least 1. *)
-
-val lanes : t -> int
-(** Actual number of execution lanes (after clamping). *)
-
-val live_workers : t -> int
-(** Spawned worker domains still serving (excludes the caller lane).
-    Decreases when a lane dies via {!Worker_exit}. *)
-
-val run : t -> count:int -> (int -> unit) -> unit
-(** [run t ~count f] evaluates [f i] for every [i] in [0 .. count - 1],
-    distributing the indexes over the pool's lanes, and returns when all
-    have completed. Not reentrant: only the domain that created the pool
-    may call [run], one job at a time. *)
-
-val shutdown : t -> unit
-(** Release the pool. The pool must not be used afterwards. Idempotent.
-    A healthy pool (no lane died) is parked on a small process-wide
-    freelist and adopted by the next [create] of the same size instead
-    of respawning — [Domain.spawn]/[Domain.join] of a many-lane pool
-    costs ~10ms, dwarfing the waves it serves. [create] joins parked
-    pools of any other size (even a condvar-blocked idle domain taxes
-    every stop-the-world minor collection). Pools with dead lanes, and
-    parked pools at process exit, are really joined. *)
-
-val drain : unit -> unit
-(** Join every parked pool now. Call before a long serial phase so idle
-    parked domains stop taxing its minor collections. *)
-
 (** A bounded multi-producer task queue over spawned domains.
 
-    Where {!run} is a single-producer gang barrier (one job at a time,
-    caller participates), [Queue] is the admission-controlled service
-    shape: any number of domains may {!Queue.submit} concurrently;
-    tasks drain FIFO over a fixed worker set; submission is rejected —
-    never blocked — when the backlog reaches [capacity], so callers can
-    answer "try again later" instead of stalling. Task exceptions are
+    The admission-controlled service shape: any number of domains may
+    {!Queue.submit} concurrently; tasks drain FIFO over a fixed worker
+    set; submission is rejected — never blocked — when the backlog
+    reaches [capacity], so callers can answer "try again later" instead
+    of stalling. Task exceptions are
     swallowed and counted ({!Queue.failures}): fire-and-forget tasks
     must report their own results. *)
 module Queue : sig

@@ -110,7 +110,8 @@ let run ?(workers = 8) ?(rtt_ms = 1.0) ~analyzer ~runtime eng ~target_tag =
   let edges = Analyzer.dependency_edges analyzer ~members in
   let parallel_cost_ms =
     analysis_ms
-    +. Scheduler.makespan ~entries:member_entries ~edges
+    +. Conflict_dag.makespan
+         (Conflict_dag.build ~nodes:member_entries ~edges)
          ~weight:(fun _ -> per_stmt +. rtt_ms)
          ~workers
   in

@@ -1,8 +1,8 @@
 #!/bin/sh
 # One-stop pre-merge check: build, full test suite, a lint pass over the
-# demo history, a traced what-if round-trip, and the measured-parallel-
-# replay smoke bench (which hard-fails if the final universe hash ever
-# diverges across worker counts). Run from the repo root: scripts/check.sh
+# demo history, a traced what-if round-trip, and the cached-what-if smoke
+# bench (which hard-fails if a warm run's final universe hash ever
+# diverges from the cold one). Run from the repo root: scripts/check.sh
 #
 # Fails fast: the first failing step prints "CHECK FAILED: <step>" and
 # exits 1; success ends with a single "CHECK OK" summary line.
@@ -60,7 +60,7 @@ columnar_smoke() {
 }
 step "columnar smoke: typed columns == boxed model" columnar_smoke
 
-step "bench smoke: parallel replay determinism" \
+step "bench smoke: cached what-if == cold" \
   dune exec bench/main.exe -- --smoke
 
 # caching must never change the answer: the same what-if runs once with

@@ -1,4 +1,4 @@
-(* Fault injection, crash-consistent recovery and graceful degradation.
+(* Fault injection and crash-consistent recovery.
 
    The contract under test (DESIGN.md §8): with any seeded fault
    schedule, a what-if run either ends bitwise-identical to the
@@ -29,19 +29,21 @@ let test_disabled_is_null () =
 let test_seeded_deterministic () =
   let drive fault =
     List.map
-      (fun key -> F.check ~key fault F.Site.worker [ F.Worker_crash; F.Slow ])
+      (fun key ->
+        F.check ~key fault F.Site.engine_exec [ F.Stmt_fail; F.Torn_write ])
       [ 3; 1; 4; 1; 5; 9; 2; 6; 1; 3 ]
   in
-  let a = drive (F.seeded ~worker_crash:0.5 ~slow:0.3 ~seed:99 ()) in
-  let b = drive (F.seeded ~worker_crash:0.5 ~slow:0.3 ~seed:99 ()) in
+  let a = drive (F.seeded ~stmt_fail:0.5 ~torn_write:0.3 ~seed:99 ()) in
+  let b = drive (F.seeded ~stmt_fail:0.5 ~torn_write:0.3 ~seed:99 ()) in
   check Alcotest.bool "same seed, same probes => same decisions" true (a = b);
   check Alcotest.bool "something fired at p=0.8 over 10 probes" true
     (List.exists Option.is_some a);
   (* the decision is a function of (site, key, hit), not of probe order *)
   let shuffled =
-    let f = F.seeded ~worker_crash:0.5 ~slow:0.3 ~seed:99 () in
+    let f = F.seeded ~stmt_fail:0.5 ~torn_write:0.3 ~seed:99 () in
     List.map
-      (fun key -> (key, F.check ~key f F.Site.worker [ F.Worker_crash; F.Slow ]))
+      (fun key ->
+        (key, F.check ~key f F.Site.engine_exec [ F.Stmt_fail; F.Torn_write ]))
       [ 9; 5; 6; 2; 4; 3 ]
   in
   List.iter
@@ -401,7 +403,7 @@ let test_uckp_bitflip_rejected () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Whatif: deadline and degradation                                     *)
+(* Whatif: deadline                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let small_history () =
@@ -430,33 +432,6 @@ let test_deadline_aborts_cleanly () =
   | exception Whatif.Abort err ->
       check Alcotest.string "exception code" "deadline"
         (Whatif.Error.code_name err.Whatif.Error.code)
-
-let test_certain_crash_degrades () =
-  (* a history whose replay set is non-empty: every update reads and
-     writes the row the removed insert created, so removal drags them
-     all in and the executor actually runs waves *)
-  let e = Engine.create () in
-  run e "CREATE TABLE t (id INT PRIMARY KEY, v INT)";
-  let base = Engine.snapshot e in
-  Engine.reset_log e;
-  run e "INSERT INTO t VALUES (1, 10)";
-  for i = 1 to 8 do
-    run e (Printf.sprintf "UPDATE t SET v = v + %d WHERE id = 1" i)
-  done;
-  let analyzer = Analyzer.analyze ~base (Engine.log e) in
-  let baseline =
-    Whatif.run_exn ~analyzer e { Analyzer.tau = 1; op = Analyzer.Remove }
-  in
-  (* every worker probe kills its lane and every wave probe reports a
-     dead domain: the run must degrade to the caller lane, not die *)
-  let fault = F.seeded ~worker_crash:1.0 ~seed:11 () in
-  let config = Whatif.Config.make ~workers:4 ~fault () in
-  match Whatif.run ~config ~analyzer e { Analyzer.tau = 1; op = Analyzer.Remove } with
-  | Error err -> Alcotest.fail ("unexpected abort: " ^ Whatif.Error.to_string err)
-  | Ok out ->
-      check Alcotest.bool "degraded" true out.Whatif.degraded;
-      check Alcotest.int64 "degraded run is bitwise-identical"
-        baseline.Whatif.final_db_hash out.Whatif.final_db_hash
 
 (* ------------------------------------------------------------------ *)
 (* Chaos harness: seeded schedules across the five workloads            *)
@@ -508,15 +483,8 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
   let want_log = log_digest baseline.Whatif.new_log in
   let oks = ref 0 and aborts = ref 0 in
   for seed = 1 to seeds do
-    let fault =
-      F.seeded ~stmt_fail:0.03 ~worker_crash:0.05 ~slow:0.02 ~seed ()
-    in
-    (* a quarter of the schedules also exercise the serial replay path *)
-    let config =
-      if seed mod 4 = 0 then
-        Whatif.Config.make ~parallel_exec:false ~fault ()
-      else Whatif.Config.make ~workers:4 ~fault ()
-    in
+    let fault = F.seeded ~stmt_fail:0.03 ~seed () in
+    let config = Whatif.Config.make ~workers:4 ~fault () in
     (match Whatif.run ~config ~analyzer eng target with
     | Ok out ->
         incr oks;
@@ -543,8 +511,8 @@ let test_chaos ?(checkpoint_every = 0) ?(seeds = seeds_per_workload) (w : W.t)
       pristine_log
       (log_digest (Engine.log eng))
   done;
-  (* the schedule rates are mild: most runs must survive via retry and
-     degradation rather than abort *)
+  (* the schedule rate is mild: most runs must survive via retry rather
+     than abort *)
   check Alcotest.bool
     (Printf.sprintf "%s: recovery works more often than not (%d ok, %d aborted)"
        w.W.name !oks !aborts)
@@ -621,8 +589,6 @@ let () =
          [
            Alcotest.test_case "deadline aborts cleanly" `Quick
              test_deadline_aborts_cleanly;
-           Alcotest.test_case "certain crash degrades" `Quick
-             test_certain_crash_degrades;
          ] );
        ( "properties",
          List.map QCheck_alcotest.to_alcotest

@@ -377,21 +377,19 @@ let test_trace_instant_events () =
 (* End-to-end: a traced what-if run                                     *)
 (* ------------------------------------------------------------------ *)
 
-let build_history () =
+(* rounds of independent single-row updates over four accounts: a
+   history of 5 + [updates] entries *)
+let build_history ?(updates = 12) () =
   let eng = Uv_db.Engine.create () in
   let run sql = ignore (Uv_db.Engine.exec_sql eng sql) in
   run "CREATE TABLE accounts (id INT PRIMARY KEY, balance INT)";
   for i = 1 to 4 do
     run (Printf.sprintf "INSERT INTO accounts VALUES (%d, 100)" i)
   done;
-  (* independent single-row updates: conflict-free, so the wave executor
-     gets real parallel batches *)
-  for round = 1 to 3 do
-    for i = 1 to 4 do
-      run
-        (Printf.sprintf
-           "UPDATE accounts SET balance = balance + %d WHERE id = %d" round i)
-    done
+  for k = 0 to updates - 1 do
+    run
+      (Printf.sprintf "UPDATE accounts SET balance = balance + %d WHERE id = %d"
+         ((k / 4) + 1) ((k mod 4) + 1))
   done;
   eng
 
@@ -412,20 +410,9 @@ let test_whatif_traced () =
   Alcotest.(check bool) "closure.col span" true (has "closure.col");
   Alcotest.(check bool) "closure.row span" true (has "closure.row");
   Alcotest.(check bool) "hash-jump phase always present" true (has "hash-jump");
-  Alcotest.(check bool) "cluster span" true (has "cluster");
-  let waves =
-    List.filter (fun n -> String.length n > 5 && String.sub n 0 5 = "wave.") names
-  in
-  check Alcotest.int "a span per executed wave" out.Uv_retroactive.Whatif.exec_waves
-    (List.length waves);
-  let is_q n =
-    String.length n > 1
-    && n.[0] = 'Q'
-    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub n 1 (String.length n - 1))
-  in
-  check Alcotest.int "a span per replayed statement"
-    out.Uv_retroactive.Whatif.replayed
-    (List.length (List.filter is_q names));
+  Alcotest.(check bool) "replay phase" true (has "replay");
+  Alcotest.(check bool) "members replayed" true
+    (out.Uv_retroactive.Whatif.replayed > 0);
   Alcotest.(check bool) "closure iterations counted" true
     (Trace.counter_value obs "analyze.closure_iters" > 0);
   Alcotest.(check bool) "statement execs counted" true
@@ -435,6 +422,25 @@ let test_whatif_traced () =
   match Report.parse ~expect:"uv.metrics/1" s with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics envelope: %s" e
+
+(* the uv.metrics/1 span names of one traced what-if over a history of
+   [entries] entries, removing the first update *)
+let span_keys ~entries =
+  let obs = Trace.create () in
+  let eng = build_history ~updates:(entries - 5) () in
+  let analyzer = Uv_retroactive.Analyzer.analyze ~obs (Uv_db.Engine.log eng) in
+  let target = { Uv_retroactive.Analyzer.tau = 6; op = Uv_retroactive.Analyzer.Remove } in
+  let config = Uv_retroactive.Whatif.Config.make ~workers:2 ~obs () in
+  ignore (Uv_retroactive.Whatif.run_exn ~config ~analyzer eng target);
+  match Json.member "spans" (Trace.metrics_payload obs) with
+  | Some (Json.Obj spans) -> List.sort compare (List.map fst spans)
+  | _ -> Alcotest.fail "no spans in the metrics payload"
+
+let test_span_keys_flat () =
+  (* metric cardinality must not grow with the history: a 200-entry
+     history names exactly the spans a 20-entry one does *)
+  let small = span_keys ~entries:20 and large = span_keys ~entries:200 in
+  check Alcotest.(list string) "same span keys at 20 and 200 entries" small large
 
 let test_whatif_obs_invariant () =
   (* observability must not change the computed universe *)
@@ -491,5 +497,7 @@ let () =
         [
           Alcotest.test_case "traced run" `Quick test_whatif_traced;
           Alcotest.test_case "obs-off invariance" `Quick test_whatif_obs_invariant;
+          Alcotest.test_case "span keys flat in history length" `Quick
+            test_span_keys_flat;
         ] );
     ]

@@ -1,7 +1,9 @@
-(* Determinism and correctness of the real parallel replay executor
-   (Wave_exec): at every worker count the what-if outcome must be
-   bit-identical — same final database hash, same new-universe log —
-   and identical to what the serial path produces. *)
+(* Replay runs serially in commit order; [Config.workers] only sets the
+   lane count of the simulated makespan. These tests check that the
+   outcome — final database hash and new-universe log — does not move
+   with [workers], that trigger cascades, mid-history DDL and the
+   Hash-jumper replay to the full re-execution oracle, and the
+   Conflict_dag units behind the simulated makespan. *)
 
 open Uv_db
 open Uv_retroactive
@@ -30,6 +32,25 @@ let log_digest log =
            (Option.value e.Log.app_txn ~default:"-")));
   Buffer.contents buf
 
+(* Definition E.1 over a history that grew from [base]: re-execute the
+   log minus [skip] on a fresh copy of [base] *)
+let oracle_hash ~base log ~skip =
+  let e = Engine.of_catalog (Catalog.snapshot base) in
+  Log.iter log (fun entry ->
+      if entry.Log.index <> skip then
+        try
+          ignore
+            (Engine.exec ~nondet:entry.Log.nondet ?app_txn:entry.Log.app_txn e
+               entry.Log.stmt)
+        with Engine.Sql_error _ | Engine.Signal_raised _ -> ());
+  Engine.db_hash e
+
+(* the whole database of the new universe, as the oracle sees it *)
+let universe_hash e out =
+  let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
+  Whatif.commit merged out;
+  Engine.db_hash merged
+
 let build (w : W.t) ~n ~dep_rate =
   let eng, rt = W.setup ~mode:R.Transpiled w in
   let base = Engine.snapshot eng in
@@ -47,20 +68,22 @@ let test_workers_invariant (w : W.t) () =
   let analyzer = Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng) in
   let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
   let run_with config = Whatif.run_exn ~config ~analyzer eng target in
-  let serial = run_with (Whatif.Config.make ~parallel_exec:false ()) in
-  check Alcotest.bool
-    (w.W.name ^ ": serial path reports no measured parallel time")
-    true
-    (serial.Whatif.measured_parallel_ms = None);
+  let serial = run_with (Whatif.Config.make ~workers:1 ()) in
   let want_hash = serial.Whatif.final_db_hash in
   let want_log = log_digest serial.Whatif.new_log in
   List.iter
     (fun workers ->
       let out = run_with (Whatif.Config.make ~workers ()) in
       check Alcotest.bool
-        (Printf.sprintf "%s: workers=%d ran the wave executor" w.W.name workers)
+        (Printf.sprintf "%s: workers=%d replayed serially" w.W.name workers)
         true
-        (out.Whatif.measured_parallel_ms <> None);
+        (out.Whatif.measured_parallel_ms = None && out.Whatif.exec_waves = 0);
+      check Alcotest.bool
+        (Printf.sprintf "%s: workers=%d makespan within the serial cost"
+           w.W.name workers)
+        true
+        (out.Whatif.simulated_parallel_ms
+        <= out.Whatif.serial_cost_ms +. 1e-6);
       check Alcotest.int64
         (Printf.sprintf "%s: workers=%d final hash == serial" w.W.name workers)
         want_hash out.Whatif.final_db_hash;
@@ -71,7 +94,7 @@ let test_workers_invariant (w : W.t) () =
     [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Structural (trigger-firing) statements serialize inside their wave   *)
+(* Trigger cascades replay to the oracle                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_trigger_wave_serializes () =
@@ -94,31 +117,20 @@ let test_trigger_wave_serializes () =
   done;
   let analyzer = Analyzer.analyze ~base (Engine.log e) in
   let target = { Analyzer.tau = 1; op = Analyzer.Remove } in
-  let serial =
-    Whatif.run_exn
-      ~config:(Whatif.Config.make ~parallel_exec:false ())
-      ~analyzer e target
-  in
-  let par =
-    Whatif.run_exn ~config:(Whatif.Config.make ~workers:4 ()) ~analyzer e target
-  in
-  check Alcotest.bool "wave executor ran" true
-    (par.Whatif.measured_parallel_ms <> None);
-  check Alcotest.int64 "trigger cascades produce the serial state"
-    serial.Whatif.final_db_hash par.Whatif.final_db_hash;
-  check Alcotest.string "trigger cascades produce the serial log"
-    (log_digest serial.Whatif.new_log)
-    (log_digest par.Whatif.new_log);
-  (* the oracle value: removing UPDATE #1 leaves 7 trigger firings *)
+  let out = Whatif.run_exn ~analyzer e target in
+  check Alcotest.int64 "trigger cascades produce the oracle state"
+    (oracle_hash ~base (Engine.log e) ~skip:1)
+    (universe_hash e out);
+  (* removing UPDATE #1 leaves 7 trigger firings *)
   let merged = Engine.of_catalog (Catalog.snapshot (Engine.catalog e)) in
-  Whatif.commit merged par;
+  Whatif.commit merged out;
   match Engine.query_sql merged "SELECT n FROM audit WHERE id = 1" with
   | { Engine.rows = [ [| Uv_sql.Value.Int n |] ]; _ } ->
       check Alcotest.int "audit counter" 7 n
   | _ -> Alcotest.fail "audit row missing"
 
 (* ------------------------------------------------------------------ *)
-(* Serial fallback on ineligible histories                              *)
+(* Mid-history DDL and the Hash-jumper against the oracle               *)
 (* ------------------------------------------------------------------ *)
 
 let test_ddl_member_falls_back () =
@@ -141,8 +153,9 @@ let test_ddl_member_falls_back () =
   in
   check Alcotest.bool "DDL joined the replay set" true
     out.Whatif.replay.Analyzer.members.(1);
-  check Alcotest.bool "mid-history DDL forces the serial path" true
-    (out.Whatif.measured_parallel_ms = None)
+  check Alcotest.int64 "mid-history DDL replays to the oracle"
+    (oracle_hash ~base (Engine.log e) ~skip:1)
+    (universe_hash e out)
 
 let test_hash_jumper_falls_back () =
   let e = Engine.create () in
@@ -157,8 +170,9 @@ let test_hash_jumper_falls_back () =
       ~config:(Whatif.Config.make ~hash_jumper:true ())
       ~analyzer e { Analyzer.tau = 1; op = Analyzer.Remove }
   in
-  check Alcotest.bool "hash-jumper needs commit-prefix replay" true
-    (out.Whatif.measured_parallel_ms = None)
+  check Alcotest.int64 "hash-jumper run replays to the oracle"
+    (oracle_hash ~base (Engine.log e) ~skip:1)
+    (universe_hash e out)
 
 (* ------------------------------------------------------------------ *)
 (* Conflict_dag unit tests                                              *)
@@ -193,17 +207,28 @@ let test_waves_empty_and_chain () =
     [ [ 10 ]; [ 20 ]; [ 30 ] ]
     (Conflict_dag.waves chain)
 
-let test_makespan_matches_scheduler () =
-  let entries = [ 1; 2; 3; 4; 5 ] in
-  let edges = [ (3, 1); (4, 2); (5, 3); (5, 4) ] in
-  let weight i = float_of_int i *. 1.5 in
-  let direct =
+let test_makespan_parity () =
+  (* commit indexes map to dense positions: the sparse-id makespan equals
+     the dense DAG's list schedule over the same edges *)
+  let entries = [ 10; 20; 30; 40; 50 ] in
+  let edges = [ (30, 10); (40, 20); (50, 30); (50, 40) ] in
+  let weight i = float_of_int i *. 0.15 in
+  let sparse =
     Conflict_dag.makespan
       (Conflict_dag.build ~nodes:entries ~edges)
       ~weight ~workers:2
   in
-  let via_wrapper = Scheduler.makespan ~entries ~edges ~weight ~workers:2 in
-  check (Alcotest.float 1e-9) "Scheduler is a thin wrapper" direct via_wrapper
+  let dense = Uv_util.Dag.create 5 in
+  List.iter (fun (l, e) -> Uv_util.Dag.add_edge dense ((l / 10) - 1) ((e / 10) - 1)) edges;
+  let direct =
+    Uv_util.Dag.critical_path_makespan dense
+      ~weights:(Array.of_list (List.map weight entries))
+      ~workers:2
+  in
+  check (Alcotest.float 1e-9) "same schedule over sparse ids" direct sparse;
+  check (Alcotest.float 1e-9) "empty DAG costs nothing" 0.0
+    (Conflict_dag.makespan (Conflict_dag.build ~nodes:[] ~edges:[])
+       ~weight ~workers:2)
 
 let workload_cases (w : W.t) =
   ( "determinism: " ^ w.W.name,
@@ -234,6 +259,6 @@ let () =
             Alcotest.test_case "empty & chain" `Quick
               test_waves_empty_and_chain;
             Alcotest.test_case "makespan parity" `Quick
-              test_makespan_matches_scheduler;
+              test_makespan_parity;
           ] );
       ])

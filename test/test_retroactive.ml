@@ -568,24 +568,19 @@ let test_hash_at_timeline () =
   check Alcotest.int64 "before any write" 0L (Hash_jumper.hash_at j ~table:"t" ~index:1)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler                                                            *)
+(* Simulated replay makespan (Conflict_dag)                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_scheduler_independent_parallel () =
-  let entries = [ 1; 2; 3; 4 ] in
-  let ms =
-    Scheduler.makespan ~entries ~edges:[] ~weight:(fun _ -> 1.0) ~workers:4
-  in
+  let dag = Conflict_dag.build ~nodes:[ 1; 2; 3; 4 ] ~edges:[] in
+  let ms = Conflict_dag.makespan dag ~weight:(fun _ -> 1.0) ~workers:4 in
   check (Alcotest.float 1e-9) "fully parallel" 1.0 ms;
-  let serial =
-    Scheduler.makespan ~entries ~edges:[] ~weight:(fun _ -> 1.0) ~workers:1
-  in
+  let serial = Conflict_dag.makespan dag ~weight:(fun _ -> 1.0) ~workers:1 in
   check (Alcotest.float 1e-9) "serial" 4.0 serial
 
 let test_scheduler_conflict_chain () =
-  let entries = [ 1; 2; 3 ] in
-  let edges = [ (2, 1); (3, 2) ] in
-  let ms = Scheduler.makespan ~entries ~edges ~weight:(fun _ -> 1.0) ~workers:8 in
+  let dag = Conflict_dag.build ~nodes:[ 1; 2; 3 ] ~edges:[ (2, 1); (3, 2) ] in
+  let ms = Conflict_dag.makespan dag ~weight:(fun _ -> 1.0) ~workers:8 in
   check (Alcotest.float 1e-9) "chain serialises" 3.0 ms
 
 let test_dependency_edges_row_refined () =
@@ -1147,7 +1142,7 @@ let prop_cc_plan_equals_serial =
       Int64.equal h_plan h_serial)
 
 (* ------------------------------------------------------------------ *)
-(* Session caches: incremental analyzer, plan cache, checkpoint ladder  *)
+(* Service caches: incremental analyzer, plan cache, checkpoint ladder  *)
 (* ------------------------------------------------------------------ *)
 
 let session_base () =
@@ -1172,10 +1167,10 @@ let session_grow ?(hot = false) e k =
 let remove1 = { Analyzer.tau = 1; op = Analyzer.Remove }
 
 let ok_run s target =
-  match Whatif.Session.run s target with
-  | Ok o -> o
+  match Whatif.Service.run s target with
+  | Ok r -> r.Whatif.Service.outcome
   | Error e ->
-      Alcotest.failf "session run aborted: %s" (Whatif.Error.to_string e)
+      Alcotest.failf "service run aborted: %s" (Whatif.Error.to_string e)
 
 let fresh_run ?config e base target =
   let analyzer = Analyzer.analyze ~base (Engine.log e) in
@@ -1184,7 +1179,7 @@ let fresh_run ?config e base target =
 let test_session_extend_matches_fresh () =
   let e, base = session_base () in
   session_grow e 10;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   session_grow e 10;
   let o2 = ok_run s remove1 in
@@ -1192,18 +1187,18 @@ let test_session_extend_matches_fresh () =
   check Alcotest.int64 "extended analyzer, same universe"
     o3.Whatif.final_db_hash o2.Whatif.final_db_hash;
   check Alcotest.int "same replay set" o3.Whatif.replayed o2.Whatif.replayed;
-  let st = Whatif.Session.stats s in
-  check Alcotest.int "one full build" 1 st.Whatif.Session.analyzer_builds;
+  let st = Whatif.Service.stats s in
+  check Alcotest.int "one full build" 1 st.Whatif.Service.analyzer_builds;
   check Alcotest.bool "the growth was an extend" true
-    (st.Whatif.Session.analyzer_extends >= 1);
+    (st.Whatif.Service.analyzer_extends >= 1);
   check Alcotest.int "covers the whole log"
     (Log.length (Engine.log e))
-    st.Whatif.Session.analyzed_entries
+    st.Whatif.Service.analyzed_entries
 
 let test_session_ddl_rebuilds () =
   let e, base = session_base () in
   session_grow e 6;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   run e "CREATE TABLE audit (k INT PRIMARY KEY)";
   run e "INSERT INTO audit VALUES (1)";
@@ -1212,14 +1207,14 @@ let test_session_ddl_rebuilds () =
   let o' = fresh_run e base remove1 in
   check Alcotest.int64 "DDL-rebuilt session matches fresh"
     o'.Whatif.final_db_hash o.Whatif.final_db_hash;
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.int "mid-history DDL forced a rebuild" 2
-    st.Whatif.Session.analyzer_builds
+    st.Whatif.Service.analyzer_builds
 
 let test_session_truncation_rebuilds () =
   let e, base = session_base () in
   session_grow e 8;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   ignore (ok_run s remove1);
   (* the history is rewritten in place: a shorter log must force a full
      recompute, never an extend over a stale prefix *)
@@ -1229,31 +1224,31 @@ let test_session_truncation_rebuilds () =
   let o' = fresh_run e base remove1 in
   check Alcotest.int64 "rebuilt after truncation"
     o'.Whatif.final_db_hash o.Whatif.final_db_hash;
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.int "truncation forced a rebuild" 2
-    st.Whatif.Session.analyzer_builds;
+    st.Whatif.Service.analyzer_builds;
   check Alcotest.int "covers only the new log" 5
-    st.Whatif.Session.analyzed_entries
+    st.Whatif.Service.analyzed_entries
 
 let test_session_plans_and_invalidate () =
   let e, base = session_base () in
   session_grow ~hot:true e 12;
-  let s = Whatif.Service.open_session @@ Whatif.Service.create ~base e in
+  let s = Whatif.Service.create ~base e in
   let o1 = ok_run s remove1 in
   let o2 = ok_run s remove1 in
   check Alcotest.int64 "repeat run identical" o1.Whatif.final_db_hash
     o2.Whatif.final_db_hash;
   check Alcotest.bool "members replayed through plans" true
     (o2.Whatif.plans_used > 0);
-  let st = Whatif.Session.stats s in
+  let st = Whatif.Service.stats s in
   check Alcotest.bool "second run hit the plan cache" true
-    (st.Whatif.Session.plan_cache_hits > 0);
+    (st.Whatif.Service.plan_cache_hits > 0);
   check Alcotest.bool "plans compiled" true
-    (st.Whatif.Session.plans_compiled > 0);
+    (st.Whatif.Service.plans_compiled > 0);
   (* the plan cache is an accelerator, not a semantic input *)
   let off =
     let s_off =
-      Whatif.Service.open_session @@ Whatif.Service.create
+      Whatif.Service.create
         ~config:(Whatif.Config.make ~plans:false ())
         ~base e
     in
@@ -1263,17 +1258,17 @@ let test_session_plans_and_invalidate () =
     off.Whatif.plans_used;
   check Alcotest.int64 "identical with plans off" o1.Whatif.final_db_hash
     off.Whatif.final_db_hash;
-  Whatif.Session.invalidate s;
-  let st0 = Whatif.Session.stats s in
+  Whatif.Service.invalidate s;
+  let st0 = Whatif.Service.stats s in
   check Alcotest.int "invalidate drops the plan cache" 0
-    st0.Whatif.Session.plan_cache_size;
+    st0.Whatif.Service.plan_cache_size;
   check Alcotest.int "invalidate drops the analyzer" 0
-    st0.Whatif.Session.analyzed_entries;
+    st0.Whatif.Service.analyzed_entries;
   let o3 = ok_run s remove1 in
   check Alcotest.int64 "forced recompute reproduces" o1.Whatif.final_db_hash
     o3.Whatif.final_db_hash;
   check Alcotest.int "recompute was a fresh build" 2
-    (Whatif.Session.stats s).Whatif.Session.analyzer_builds
+    (Whatif.Service.stats s).Whatif.Service.analyzer_builds
 
 let test_session_checkpoint_jump_matches_undo () =
   let history e =
@@ -1281,11 +1276,11 @@ let test_session_checkpoint_jump_matches_undo () =
       run e (Printf.sprintf "UPDATE acct SET bal = bal + %d WHERE id = 1" i)
     done
   in
-  (* ladder engine: the session enables checkpointing, rungs accumulate
+  (* ladder engine: the service enables checkpointing, rungs accumulate
      as the history commits *)
   let e1, base1 = session_base () in
   let s =
-    Whatif.Service.open_session @@ Whatif.Service.create
+    Whatif.Service.create
       ~config:(Whatif.Config.make ~checkpoint_every:8 ())
       ~base:base1 e1
   in
@@ -1303,7 +1298,7 @@ let test_session_checkpoint_jump_matches_undo () =
   check Alcotest.int64 "identical universes" o_undo.Whatif.final_db_hash
     o_jump.Whatif.final_db_hash;
   check Alcotest.bool "the ladder recorded rungs" true
-    ((Whatif.Session.stats s).Whatif.Session.checkpoint_rungs > 0);
+    ((Whatif.Service.stats s).Whatif.Service.checkpoint_rungs > 0);
   let again = ok_run s target in
   check Alcotest.int64 "jump reproduces across runs"
     o_jump.Whatif.final_db_hash again.Whatif.final_db_hash
@@ -1409,15 +1404,14 @@ let test_service_sessions_share_caches () =
   let e, base = session_base () in
   session_grow ~hot:true e 12;
   let svc = Whatif.Service.create ~config:svc_config ~base e in
-  let s1 = Whatif.Service.open_session svc in
-  let s2 = Whatif.Service.open_session svc in
-  let o1 = ok_run s1 remove1 in
-  let o2 = ok_run s2 remove1 in
-  check Alcotest.int64 "handles agree" o1.Whatif.final_db_hash
+  (* two callers on different domains share one service's caches *)
+  let o1 = ok_run svc remove1 in
+  let o2 = Domain.join (Domain.spawn (fun () -> ok_run svc remove1)) in
+  check Alcotest.int64 "callers agree" o1.Whatif.final_db_hash
     o2.Whatif.final_db_hash;
   let st = Whatif.Service.stats svc in
   check Alcotest.int "one shared analyzer build" 1 st.Whatif.Service.analyzer_builds;
-  check Alcotest.int "both handles counted" 2 st.Whatif.Service.sessions;
+  check Alcotest.int "both runs counted" 2 st.Whatif.Service.runs;
   Alcotest.(check bool) "second run hit the shared plan cache" true
     (st.Whatif.Service.plan_cache_hits > 0)
 

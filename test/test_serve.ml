@@ -212,21 +212,27 @@ let test_oversized_frame_closes () =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
           (* protocol damage proper: the stream cannot be re-synchronised,
-             so the server answers once and hangs up *)
-          Frame_io.write_frame fd (String.make 100_000 'x');
-          (match Frame_io.read_frame fd with
-          | Ok s -> (
-              match Report.parse ~expect:"uv.serve/1" s with
-              | Ok j ->
-                  check Alcotest.bool "typed farewell" true
-                    (member_exn "ok" j = J.Bool false)
-              | Error e -> Alcotest.failf "farewell not an envelope: %s" e)
-          | Error `Closed -> () (* immediate close is acceptable too *)
-          | Error (`Oversized n) -> Alcotest.failf "server sent %d bytes" n);
-          match Frame_io.read_frame fd with
-          | Error `Closed -> ()
-          | Ok _ -> Alcotest.fail "connection survived protocol damage"
-          | Error (`Oversized n) -> Alcotest.failf "server sent %d bytes" n))
+             so the server answers once and hangs up. The server reads only
+             the header before hanging up, so the rest of this write may
+             race the close: EPIPE/ECONNRESET is that same closed
+             connection, seen from the write side. *)
+          match Frame_io.write_frame fd (String.make 100_000 'x') with
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+              ()
+          | () -> (
+              (match Frame_io.read_frame fd with
+              | Ok s -> (
+                  match Report.parse ~expect:"uv.serve/1" s with
+                  | Ok j ->
+                      check Alcotest.bool "typed farewell" true
+                        (member_exn "ok" j = J.Bool false)
+                  | Error e -> Alcotest.failf "farewell not an envelope: %s" e)
+              | Error `Closed -> () (* immediate close is acceptable too *)
+              | Error (`Oversized n) -> Alcotest.failf "server sent %d bytes" n);
+              match Frame_io.read_frame fd with
+              | Error `Closed -> ()
+              | Ok _ -> Alcotest.fail "connection survived protocol damage"
+              | Error (`Oversized n) -> Alcotest.failf "server sent %d bytes" n)))
 
 let test_ingest_visible_to_later_whatifs () =
   with_server ~history:20 (fun _srv addr _svc ->

@@ -292,65 +292,6 @@ let test_clock_now_advances () =
     (Clock.now_ms () > a)
 
 (* ------------------------------------------------------------------ *)
-(* Domain_pool                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_covers_all_items () =
-  let pool = Domain_pool.create ~workers:4 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let n = 10_000 in
-  let hits = Array.make n 0 in
-  Domain_pool.run pool ~count:n (fun i -> hits.(i) <- hits.(i) + 1);
-  Array.iteri
-    (fun i c -> if c <> 1 then Alcotest.failf "item %d ran %d times" i c)
-    hits
-
-let test_pool_reuse_across_waves () =
-  (* one pool, many waves — the wave executor's usage pattern *)
-  let pool = Domain_pool.create ~workers:4 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let total = Atomic.make 0 in
-  for wave = 1 to 50 do
-    Domain_pool.run pool ~count:wave (fun _ -> Atomic.incr total)
-  done;
-  check Alcotest.int "all waves' items ran" (50 * 51 / 2) (Atomic.get total)
-
-let test_pool_contended_counter () =
-  let pool = Domain_pool.create ~workers:8 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let total = Atomic.make 0 in
-  Domain_pool.run pool ~count:100_000 (fun _ -> Atomic.incr total);
-  check Alcotest.int "no lost updates" 100_000 (Atomic.get total)
-
-let test_pool_exception_propagates () =
-  let pool = Domain_pool.create ~workers:4 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  (match
-     Domain_pool.run pool ~count:100 (fun i -> if i = 37 then failwith "boom")
-   with
-  | () -> Alcotest.fail "expected the worker exception to re-raise"
-  | exception Failure msg -> check Alcotest.string "first exception" "boom" msg);
-  (* the pool survives a failed job *)
-  let ok = Atomic.make 0 in
-  Domain_pool.run pool ~count:10 (fun _ -> Atomic.incr ok);
-  check Alcotest.int "pool usable after failure" 10 (Atomic.get ok)
-
-let test_pool_shutdown_idempotent () =
-  let pool = Domain_pool.create ~workers:3 in
-  Domain_pool.run pool ~count:5 (fun _ -> ());
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool
-
-let test_pool_single_lane () =
-  let pool = Domain_pool.create ~workers:1 in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  check Alcotest.int "one lane" 1 (Domain_pool.lanes pool);
-  let sum = ref 0 in
-  (* workers:1 runs on the caller: unsynchronised state is safe *)
-  Domain_pool.run pool ~count:1000 (fun i -> sum := !sum + i);
-  check Alcotest.int "caller-lane sum" (999 * 1000 / 2) !sum
-
-(* ------------------------------------------------------------------ *)
 (* Rwlock                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -853,15 +794,6 @@ let () =
           Alcotest.test_case "real monotonic" `Quick test_clock_real_monotonic;
           Alcotest.test_case "now_ms monotonic" `Quick test_clock_now_monotonic;
           Alcotest.test_case "now_ms advances" `Quick test_clock_now_advances;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "covers all items" `Quick test_pool_covers_all_items;
-          Alcotest.test_case "reuse across waves" `Quick test_pool_reuse_across_waves;
-          Alcotest.test_case "contended counter" `Quick test_pool_contended_counter;
-          Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
-          Alcotest.test_case "single lane" `Quick test_pool_single_lane;
         ] );
       ( "rwlock",
         [
