@@ -321,8 +321,9 @@ let whatif_cmd =
 (* lint                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Template artifacts of a workload: extraction, matrix, fast-path match
-   against an analyzed history. Shared by lint --workload and templates. *)
+(* Template artifacts of a workload: extraction, matrix, and the template
+   assignment of an analyzed history. Shared by lint --workload and
+   templates. *)
 let template_artifacts (w : Uv_workloads.Workload.t) =
   let set =
     Uv_analysis.Template_extract.extract ~schema:w.Uv_workloads.Workload.schema_sql

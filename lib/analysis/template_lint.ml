@@ -12,7 +12,8 @@ let pairwise_cap = 25
 
 (* UVA014: log entries no extracted template covers. DDL is expected to
    be uncovered (templates are application statements); everything else
-   falls back to the slower per-statement path and is worth surfacing. *)
+   is a statement the static model does not describe and is worth
+   surfacing. *)
 let template_coverage ~fast anl =
   let uncovered =
     List.filter
@@ -87,10 +88,10 @@ let matrix_soundness ~set ~matrix ~fast anl =
                     tid
                     (String.concat ", " (Rwset.Colset.elements miss)))))
     !matched;
-  (* pairwise: the fast path prunes candidate j for asking entry i only
-     when every conflict table's guard-value bucket excludes j — mirror
-     that predicate exactly and demand it never fires across a real
-     cell-level dependency, in either asking direction *)
+  (* pairwise: the matrix claims a prunable pair is independent for
+     entries i and j when every conflict table's guard values differ —
+     demand that claim never holds across a real cell-level dependency,
+     in either asking direction *)
   let prunes (p : M.pair) gi gj =
     p.M.prunable && p.M.guard_tables <> []
     && List.for_all

@@ -12,7 +12,7 @@
 val template_coverage :
   fast:Template_fastpath.t -> Uv_retroactive.Analyzer.t -> Diagnostic.t list
 (** UVA014 (warning): log entries matching no extracted template (DDL
-    excepted) — they silently fall back to the per-statement path.
+    excepted) — statements the static template model does not describe.
     Capped per entry with a summary tail. *)
 
 val matrix_soundness :

@@ -23,21 +23,25 @@ type tindex = {
 }
 
 (* Cell-level conflict index: buckets keyed by (column, canonical dim0
-   row value). Everything in here is joinable — writers by definition,
-   readers only when they also write — so a closure scanning a bucket
-   either joins what it finds or prunes it for good, and the per-question
+   row value), one family per access side. A closure scanning a bucket
+   either joins what it finds or prunes it for good, so the per-question
    cost is bounded by the buckets touched rather than the history. Built
-   lazily for [replay_members], rebuilt when the RI merge generation or
-   the analysed length moves. *)
+   lazily by the first [Joint] closure, rebuilt when the RI merge
+   generation or the analysed length moves. *)
+type cell_family = {
+  by_val : (string, int list ref) Hashtbl.t; (* "col|val" -> accessors, desc *)
+  any : (string, int list ref) Hashtbl.t; (* "col" -> wildcard-row accessors *)
+  all : (string, int list ref) Hashtbl.t; (* "col" -> every accessor *)
+}
+
 type cell_index = {
   ci_generation : int;
   ci_n : int;
-  cw_val : (string, int list ref) Hashtbl.t; (* "col|val" -> writers, desc *)
-  cw_any : (string, int list ref) Hashtbl.t; (* "col" -> wildcard-row writers *)
-  cw_all : (string, int list ref) Hashtbl.t; (* "col" -> every writer *)
-  cr_val : (string, int list ref) Hashtbl.t; (* ditto, joinable readers *)
-  cr_any : (string, int list ref) Hashtbl.t;
-  cr_all : (string, int list ref) Hashtbl.t;
+  writers : cell_family;
+  readers : cell_family; (* readers that also write *)
+  queries : cell_family;
+      (* read-only readers: joinable only at transaction granularity, so
+         ungrouped closures never scan them *)
 }
 
 (* Where entries come from: a pull interface so analysis never needs a
@@ -96,9 +100,6 @@ type t = {
       (* per-entry "has a column-wise write" — shared by every ungrouped
          closure run so replay-set cost stays off the history length *)
   mutable cell_index : cell_index option;
-  mutable scratch_members : int array; (* epoch-stamped; 0 = never *)
-  mutable scratch_excluded : int array;
-  mutable closure_epoch : int;
 }
 
 let length t = Array.length t.infos
@@ -124,6 +125,11 @@ let dim0_of (config : Rowset.config) table =
   match List.assoc_opt table config.Rowset.ri_columns with
   | Some (d :: _) -> d
   | _ -> "#0"
+
+let table_of_col c =
+  match String.index_opt c '.' with
+  | Some i -> String.sub c 0 i
+  | None -> c
 
 let bucket tbl key =
   match Hashtbl.find_opt tbl key with
@@ -257,9 +263,6 @@ let create ?(config = Rowset.default_config) ?base source =
     indexed_generation = Rowset.merge_generation row_state;
     joinable_cache = None;
     cell_index = None;
-    scratch_members = [||];
-    scratch_excluded = [||];
-    closure_epoch = 0;
   }
 
 let extend ?(obs = Uv_obs.Trace.disabled) t =
@@ -324,11 +327,9 @@ let schema_view_at t upto =
 
 let target_rw t (target : target) =
   let sv = schema_view_at t target.tau in
-  let row_probe = Rowset.create t.config in
-  (* Use a throwaway row state seeded with the analysed alias/merge maps:
-     extraction must see aliases learned before τ. We reuse the final
-     state — a superset, which can only widen the target's sets. *)
-  ignore row_probe;
+  (* row extraction runs against the analysed head's alias/merge state —
+     a superset of the state at τ, which can only widen the target's
+     sets *)
   let sets_of stmt =
     ( Rwset.of_stmt sv stmt,
       Rowset.of_entry t.row_state sv stmt [] )
@@ -357,25 +358,24 @@ type replay_set = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Closure computation                                                  *)
+(* The closure kernel                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Candidate generator contract shared by the built-in per-statement
-   bucket scans and external fast-paths (the template matrix): given a
-   member's sets, return candidate indexes past [min_idx] that may
-   conflict with it. [min_idx] doubles as the member's identity — the
-   seed is the single call made before the worklist drains, members call
-   with their own index. *)
-type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
+(* Every replay-set question runs one worklist ([closure]); a mode only
+   picks its candidate generator. A generator is built per closure run
+   from [live] and answers, for a member's sets, the candidate indexes
+   past [min_idx] that conflict with it — [min_idx] is the member's own
+   index, or τ-1 for the target's seed sets. Candidates for which [live]
+   is false (joined, excluded, before τ, or never joinable) may be
+   skipped and pruned from the generator's caches, so buckets shrink as
+   the closure grows. *)
 
-(* Generic worklist closure. [make_joins ~live] builds a candidate
-   generator; candidates for which [live] is false (already joined,
-   excluded, before τ, or never joinable) may be skipped and pruned from
-   the generator's internal state, so buckets shrink as the closure
-   grows. Candidates with an empty column-wise write set never join
-   (read-only queries, Prop E.7) unless they belong to a transaction
-   group: a grouped read is an application-level data flow into the rest
-   of its transaction (Table A's BEGIN TRANSACTION union rule). *)
+(* Entries with an empty column-wise write set never join (read-only
+   queries, Prop E.7) unless they belong to a transaction group: a
+   grouped read is an application-level data flow into the rest of its
+   transaction (Table A's BEGIN TRANSACTION union rule). The write test
+   is cached across closure runs so replay-set cost stays off the
+   history length. *)
 let ungrouped_joinable t =
   match t.joinable_cache with
   | Some a when Array.length a = Array.length t.infos -> a
@@ -388,53 +388,57 @@ let ungrouped_joinable t =
       t.joinable_cache <- Some a;
       a
 
-let compute_closure ?via ?(obs = Uv_obs.Trace.disabled) t ~tau ~exclude
-    ~seed_rw ~seed_rows ~make_joins ~joinable ~expand =
+let group_expand t i =
+  match t.infos.(i - 1).app_txn with
+  | None -> []
+  | Some tag -> Option.value (Hashtbl.find_opt t.groups tag) ~default:[]
+
+(* The worklist. Membership is per-call state — one byte per entry,
+   nothing written to the analyzer — so concurrent closures over one
+   shared analyzer (served what-ifs on the read side of the service
+   lock) never interfere. [via] records, for each joined entry, which
+   member's sets pulled it in (0 = the retroactive target itself),
+   negated when it joined as a transaction-group mate of that member.
+   Returns the joined entries, in join order, and a membership test. *)
+let closure ?via ?(obs = Uv_obs.Trace.disabled) t ~grouped ~tau ~exclude
+    ~seed_rw ~seed_rows make_candidates =
   let n = Array.length t.infos in
-  let members = Array.make n false in
-  let joined = ref [] in
-  let excluded = Array.make (n + 2) false in
-  List.iter (fun i -> if i >= 1 && i <= n then excluded.(i) <- true) exclude;
+  (* per entry: '\000' open, '\001' excluded, '\002' joined *)
+  let seen = Bytes.make n '\000' in
+  List.iter
+    (fun i -> if i >= 1 && i <= n then Bytes.set seen (i - 1) '\001')
+    exclude;
+  let joinable = ungrouped_joinable t in
   let live i =
-    i >= tau && i <= n && (not excluded.(i)) && joinable.(i - 1)
-    && not members.(i - 1)
+    i >= tau && i <= n
+    && Bytes.get seen (i - 1) = '\000'
+    && (joinable.(i - 1) || (grouped && t.infos.(i - 1).app_txn <> None))
   in
-  (* provenance: [via] records, for each joined entry, which member's sets
-     pulled it in (0 = the retroactive target itself) — negative when it
-     joined as a transaction-group mate of that member *)
-  let record i src =
-    match via with Some a -> a.(i - 1) <- src | None -> ()
+  let joined = ref [] and queue = Queue.create () in
+  let add src i =
+    Bytes.set seen (i - 1) '\002';
+    joined := i :: !joined;
+    Option.iter (fun h -> Hashtbl.replace h i src) via;
+    Queue.push i queue
   in
-  let queue = Queue.create () in
   let join src i =
     if live i then begin
-      members.(i - 1) <- true;
-      joined := i :: !joined;
-      record i src;
-      Queue.push i queue;
-      List.iter
-        (fun g ->
-          if live g then begin
-            members.(g - 1) <- true;
-            joined := g :: !joined;
-            record g (-i);
-            Queue.push g queue
-          end)
-        (expand i)
+      add src i;
+      if grouped then
+        List.iter (fun g -> if live g then add (-i) g) (group_expand t i)
     end
   in
-  let joins_of = make_joins ~live in
-  (* seed from the target's sets (pseudo-member just before τ) *)
-  List.iter (join 0) (joins_of ~min_idx:(tau - 1) seed_rw seed_rows);
+  let candidates = make_candidates ~live in
+  List.iter (join 0) (candidates ~min_idx:(tau - 1) seed_rw seed_rows);
   let iters = ref 0 in
   while not (Queue.is_empty queue) do
     incr iters;
     let i = Queue.pop queue in
     let inf = t.infos.(i - 1) in
-    List.iter (join i) (joins_of ~min_idx:i inf.rw inf.rows)
+    List.iter (join i) (candidates ~min_idx:i inf.rw inf.rows)
   done;
   Uv_obs.Trace.incr obs ~by:!iters "analyze.closure_iters";
-  (members, !joined)
+  (!joined, fun i -> Bytes.get seen (i - 1) = '\002')
 
 (* Shared pruning cache for one closure run: each bucket is copied on
    first use and re-filtered on every scan, dropping entries that can
@@ -457,21 +461,39 @@ let scan_pruned cache ~live ~min_idx ~offer key fetch =
   in
   Hashtbl.replace cache key kept
 
+(* a descending index bucket, ascending *)
+let fetch tbl key () =
+  match Hashtbl.find_opt tbl key with None -> [] | Some b -> List.rev !b
+
+(* [_S] schema keys are wildcard rows (Table B): a column-level schema
+   conflict is a row and a cell conflict too *)
+let schema_conflict (a : Rwset.rw) (b : Rwset.rw) =
+  let meets x y =
+    Rwset.Colset.exists (fun k -> is_schema_key k && Rwset.Colset.mem k y) x
+  in
+  meets a.Rwset.w b.Rwset.r
+  || meets a.Rwset.r b.Rwset.w
+  || meets a.Rwset.w b.Rwset.w
+
+let scan_schema t scan (rw : Rwset.rw) =
+  let each kind tbl c = if is_schema_key c then scan (kind ^ c) (fetch tbl c) in
+  Rwset.Colset.iter
+    (fun c ->
+      each "Sr|" t.readers_by_col c;
+      each "Sw|" t.writers_by_col c)
+    rw.Rwset.w;
+  Rwset.Colset.iter (fun c -> each "Sw|" t.writers_by_col c) rw.Rwset.r
+
 (* Column-wise candidates conflicting with (rw): later readers of written
    columns, later writers of read columns, later writers of written
    columns. *)
-let col_joins t ~live =
+let col_candidates t ~live =
   let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
   fun ~min_idx (rw : Rwset.rw) (_rows : Rowset.entry_rows) ->
     let acc = ref [] in
     let offer i = acc := i :: !acc in
     let scan kind tbl c =
-      scan_pruned cache ~live ~min_idx ~offer
-        (kind ^ c)
-        (fun () ->
-          match Hashtbl.find_opt tbl c with
-          | None -> []
-          | Some b -> List.rev !b)
+      scan_pruned cache ~live ~min_idx ~offer (kind ^ c) (fetch tbl c)
     in
     Rwset.Colset.iter
       (fun c ->
@@ -481,28 +503,73 @@ let col_joins t ~live =
     Rwset.Colset.iter (fun c -> scan "w|" t.writers_by_col c) rw.Rwset.r;
     !acc
 
-let table_of_col c =
-  match String.index_opt c '.' with
-  | Some i -> String.sub c 0 i
-  | None -> c
+(* Row-wise candidates: value-indexed over each table's first dimension,
+   verified with the full multi-dimensional overlap; plus schema-key
+   conflicts. *)
+let row_candidates t ~live =
+  let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
+  fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
+    let acc = ref [] in
+    let offer i = acc := i :: !acc in
+    let scan key fetch = scan_pruned cache ~live ~min_idx ~offer key fetch in
+    scan_schema t scan rw;
+    List.iter
+      (fun (table, access) ->
+        match Hashtbl.find_opt t.row_index table with
+        | Some ti when Array.length access > 0 ->
+            let dim0 = dim0_of t.config table in
+            let candidates_of rs kind any_bucket val_buckets =
+              let any_key = "A" ^ kind ^ table in
+              scan any_key (fun () -> List.rev any_bucket);
+              match rs with
+              | Rowset.Any ->
+                  (* all value buckets of this table, flattened once *)
+                  scan
+                    ("*" ^ kind ^ table)
+                    (fun () ->
+                      Hashtbl.fold
+                        (fun _ b acc -> List.rev_append !b acc)
+                        val_buckets [])
+              | Rowset.Vals s ->
+                  Rowset.Vset.iter
+                    (fun v ->
+                      let cv = Rowset.canonical t.row_state table dim0 v in
+                      scan
+                        ("V" ^ kind ^ table ^ "|" ^ cv)
+                        (fetch val_buckets cv))
+                    s
+            in
+            (* my writes vs their reads and writes *)
+            candidates_of access.(0).Rowset.dw "r|" ti.any_r ti.by_val_r;
+            candidates_of access.(0).Rowset.dw "w|" ti.any_w ti.by_val_w;
+            (* my reads vs their writes *)
+            candidates_of access.(0).Rowset.dr "w|" ti.any_w ti.by_val_w
+        | _ -> ())
+      rows;
+    List.filter
+      (fun i ->
+        let inf = t.infos.(i - 1) in
+        schema_conflict rw inf.rw
+        || List.exists
+             (fun (table, access) ->
+               match List.assoc_opt table inf.rows with
+               | None -> false
+               | Some their ->
+                   Rowset.overlaps t.row_state table access `Any_conflict their)
+             rows)
+      (List.sort_uniq Int.compare !acc)
 
 (* The joint (cell-wise) pair conflict: the two entries share a column
    (direction-aware) whose table's rows overlap — i.e., they touch a
    common cell, up to the first-dimension approximation that
-   [Rowset.overlaps] verifies multi-dimensionally. A side missing the
-   row entry for a shared column's table degrades to a conflict
-   (conservative). Schema-key overlap is a wildcard conflict as ever. *)
+   [Rowset.overlaps] verifies multi-dimensionally. A table absent from
+   either side's row sets is unreachable through the row-wise closure,
+   so it cannot carry a cell conflict either — the same convention keeps
+   Joint inside Cell. *)
 let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
-  let inter a b = Rwset.Colset.inter a b in
-  let nonempty s = not (Rwset.Colset.is_empty s) in
-  let schema_conflict =
-    let sk s = Rwset.Colset.filter is_schema_key s in
-    nonempty (inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r))
-    || nonempty (inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w))
-    || nonempty (inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w))
-  in
-  schema_conflict
+  schema_conflict rw inf.rw
   ||
+  let inter a b = Rwset.Colset.inter a b in
   let shared =
     Rwset.Colset.union
       (inter rw.Rwset.w inf.rw.Rwset.r)
@@ -518,150 +585,156 @@ let cell_pair_conflict t (rw : Rwset.rw) rows (inf : info) =
       match (List.assoc_opt table rows, List.assoc_opt table inf.rows) with
       | Some mine, Some theirs ->
           Rowset.overlaps t.row_state table mine `Any_conflict theirs
-      (* a table absent from an entry's row sets is unreachable through
-         the row-wise closure, so it cannot carry a cell conflict either
-         — the same convention keeps Joint inside Cell *)
       | _ -> false)
     shared
 
-(* Row-wise candidates: value-indexed over each table's first dimension,
-   verified with the full multi-dimensional overlap; plus schema-key
-   ([_S.*]) conflicts, which are wildcard rows per Table B. With
-   [require_col] the verification instead demands the joint cell-wise
-   pair conflict, whose closure is a subset of the [Cell] intersection
-   and whose cost is bounded by the value buckets actually touched, not
-   the history. *)
-let rowwise_joins ~require_col t ~live =
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 256 in
+(* the first-dimension row access of [rows] on column [c]'s table;
+   [None] when the table has no row entry *)
+let dim0_access (rows : Rowset.entry_rows) c side =
+  match List.assoc_opt (table_of_col c) rows with
+  | Some access when Array.length access > 0 ->
+      Some
+        (match side with
+        | `W -> access.(0).Rowset.dw
+        | `R -> access.(0).Rowset.dr)
+  | _ -> None
+
+let build_cell_index t =
+  let family () =
+    {
+      by_val = Hashtbl.create 1024;
+      any = Hashtbl.create 64;
+      all = Hashtbl.create 64;
+    }
+  in
+  let ci =
+    {
+      ci_generation = Rowset.merge_generation t.row_state;
+      ci_n = Array.length t.infos;
+      writers = family ();
+      readers = family ();
+      queries = family ();
+    }
+  in
+  Array.iter
+    (fun inf ->
+      let push tbl key =
+        let b = bucket tbl key in
+        b := inf.index :: !b
+      in
+      (* one column's cells: the column crossed with its table's dim0
+         access; empty row sets touch no cell *)
+      let file fam side c =
+        if not (is_schema_key c) then
+          match dim0_access inf.rows c side with
+          | None -> ()
+          | Some Rowset.Any ->
+              push fam.any c;
+              push fam.all c
+          | Some (Rowset.Vals s) ->
+              if not (Rowset.Vset.is_empty s) then begin
+                let table = table_of_col c in
+                let dim0 = dim0_of t.config table in
+                Rowset.Vset.iter
+                  (fun v ->
+                    push fam.by_val
+                      (c ^ "|" ^ Rowset.canonical t.row_state table dim0 v))
+                  s;
+                push fam.all c
+              end
+      in
+      Rwset.Colset.iter (file ci.writers `W) inf.rw.Rwset.w;
+      let readers =
+        if Rwset.Colset.is_empty inf.rw.Rwset.w then ci.queries else ci.readers
+      in
+      Rwset.Colset.iter (file readers `R) inf.rw.Rwset.r)
+    t.infos;
+  ci
+
+(* built once and published in one field write: concurrent closures
+   either see a complete index or build their own *)
+let cell_index_of t =
+  match t.cell_index with
+  | Some ci
+    when ci.ci_generation = Rowset.merge_generation t.row_state
+         && ci.ci_n = Array.length t.infos ->
+      ci
+  | _ ->
+      let ci = build_cell_index t in
+      t.cell_index <- Some ci;
+      ci
+
+(* Joint candidates: scans of the cell index — a written column's
+   readers and writers, a read column's writers, on the same dim0 row
+   values (a wildcard side scans the column's whole family) — verified
+   with [cell_pair_conflict]. *)
+let cell_candidates t ~grouped ~live =
+  let ci = cell_index_of t in
+  let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
   fun ~min_idx (rw : Rwset.rw) (rows : Rowset.entry_rows) ->
     let acc = ref [] in
     let offer i = acc := i :: !acc in
     let scan key fetch = scan_pruned cache ~live ~min_idx ~offer key fetch in
-    (* _S pseudo-rows: wildcard, so any column-level _S conflict is a row
-       conflict too *)
-    let scan_schema kind tbl c =
-      if is_schema_key c then
-        scan (kind ^ c) (fun () ->
-            match Hashtbl.find_opt tbl c with
-            | None -> []
-            | Some b -> List.rev !b)
+    let scan_family tag fam c rs =
+      match rs with
+      | None -> ()
+      | Some Rowset.Any -> scan ("A" ^ tag ^ c) (fetch fam.all c)
+      | Some (Rowset.Vals s) ->
+          if not (Rowset.Vset.is_empty s) then begin
+            scan ("N" ^ tag ^ c) (fetch fam.any c);
+            let table = table_of_col c in
+            let dim0 = dim0_of t.config table in
+            Rowset.Vset.iter
+              (fun v ->
+                let key = c ^ "|" ^ Rowset.canonical t.row_state table dim0 v in
+                scan ("V" ^ tag ^ key) (fetch fam.by_val key))
+              s
+          end
     in
+    scan_schema t scan rw;
     Rwset.Colset.iter
       (fun c ->
-        scan_schema "Sr|" t.readers_by_col c;
-        scan_schema "Sw|" t.writers_by_col c)
+        if not (is_schema_key c) then begin
+          let w = dim0_access rows c `W in
+          scan_family "r|" ci.readers c w;
+          if grouped then scan_family "q|" ci.queries c w;
+          scan_family "w|" ci.writers c w
+        end)
       rw.Rwset.w;
-    Rwset.Colset.iter (fun c -> scan_schema "Sw|" t.writers_by_col c) rw.Rwset.r;
-    (* table rows *)
-    List.iter
-      (fun (table, access) ->
-        match Hashtbl.find_opt t.row_index table with
-        | None -> ()
-        | Some ti ->
-            if Array.length access > 0 then begin
-              let dim0 =
-                match List.assoc_opt table t.config.Rowset.ri_columns with
-                | Some (d :: _) -> d
-                | _ -> "#0"
-              in
-              let candidates_of rs kind (any_bucket : int list)
-                  (val_buckets : (string, int list ref) Hashtbl.t) =
-                let any_key = "A" ^ kind ^ table in
-                match rs with
-                | Rowset.Any ->
-                    scan any_key (fun () -> List.rev any_bucket);
-                    (* all value buckets of this table, flattened once *)
-                    scan
-                      ("*" ^ kind ^ table)
-                      (fun () ->
-                        Hashtbl.fold
-                          (fun _ b acc -> List.rev_append !b acc)
-                          val_buckets [])
-                | Rowset.Vals s ->
-                    scan any_key (fun () -> List.rev any_bucket);
-                    Rowset.Vset.iter
-                      (fun v ->
-                        let cv = Rowset.canonical t.row_state table dim0 v in
-                        scan
-                          ("V" ^ kind ^ table ^ "|" ^ cv)
-                          (fun () ->
-                            match Hashtbl.find_opt val_buckets cv with
-                            | Some b -> List.rev !b
-                            | None -> []))
-                      s
-              in
-              (* my writes vs their reads and writes *)
-              candidates_of access.(0).Rowset.dw "r|" ti.any_r ti.by_val_r;
-              candidates_of access.(0).Rowset.dw "w|" ti.any_w ti.by_val_w;
-              (* my reads vs their writes *)
-              candidates_of access.(0).Rowset.dr "w|" ti.any_w ti.by_val_w
-            end)
-      rows;
-    (* verify candidates with the full multi-dimensional predicate *)
+    Rwset.Colset.iter
+      (fun c ->
+        if not (is_schema_key c) then
+          scan_family "w|" ci.writers c (dim0_access rows c `R))
+      rw.Rwset.r;
     List.filter
-      (fun i ->
-        let inf = t.infos.(i - 1) in
-        if require_col then cell_pair_conflict t rw rows inf
+      (fun i -> cell_pair_conflict t rw rows t.infos.(i - 1))
+      (List.sort_uniq Int.compare !acc)
+
+(* ------------------------------------------------------------------ *)
+(* Replay sets                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* tables written by 𝕀 ∪ {target}, and tables only read *)
+let classify t ~joined seed_rw =
+  let tables_of s =
+    Rwset.Colset.fold
+      (fun key acc ->
+        if is_schema_key key then
+          (* mutated schema object: the object itself must be restored *)
+          String.sub key 3 (String.length key - 3) :: acc
         else
-          let inter a b =
-            not (Rwset.Colset.is_empty (Rwset.Colset.inter a b))
-          in
-          (* either a schema-key conflict... *)
-          let schema_conflict =
-            let sk s = Rwset.Colset.filter is_schema_key s in
-            inter (sk rw.Rwset.w) (sk inf.rw.Rwset.r)
-            || inter (sk rw.Rwset.r) (sk inf.rw.Rwset.w)
-            || inter (sk rw.Rwset.w) (sk inf.rw.Rwset.w)
-          in
-          schema_conflict
-          || List.exists
-               (fun (table, access) ->
-                 match List.assoc_opt table inf.rows with
-                 | None -> false
-                 | Some their ->
-                     Rowset.overlaps t.row_state table access `Any_conflict
-                       their)
-               rows)
-      (List.sort_uniq compare !acc)
-
-let row_joins t ~live = rowwise_joins ~require_col:false t ~live
-
-let cell_joins t ~live = rowwise_joins ~require_col:true t ~live
-
-
-let group_expand t i =
-  match t.infos.(i - 1).app_txn with
-  | None -> []
-  | Some tag -> Option.value (Hashtbl.find_opt t.groups tag) ~default:[]
-
-let count_members m = Array.fold_left (fun a b -> if b then a + 1 else a) 0 m
-
-let classify ?joined t ~members (target : target) seed_rw =
-  let add_tables_of rwsets =
-    let real_of s =
-      Rwset.Colset.fold
-        (fun key acc ->
-          if is_schema_key key then
-            (* mutated schema object: the object itself must be restored *)
-            String.sub key 3 (String.length key - 3) :: acc
-          else
-            match String.index_opt key '.' with
-            | Some i -> String.sub key 0 i :: acc
-            | None -> acc)
-        s []
-    in
-    real_of rwsets
+          match String.index_opt key '.' with
+          | Some i -> String.sub key 0 i :: acc
+          | None -> acc)
+      s []
   in
   let written = ref [] and read = ref [] in
   let take (rw : Rwset.rw) =
-    written := add_tables_of rw.Rwset.w @ !written;
-    read := add_tables_of rw.Rwset.r @ !read
+    written := tables_of rw.Rwset.w @ !written;
+    read := tables_of rw.Rwset.r @ !read
   in
   take seed_rw;
-  (match joined with
-  | Some js -> List.iter (fun i -> take t.infos.(i - 1).rw) js
-  | None -> Array.iteri (fun i inf -> if members.(i) then take inf.rw) t.infos);
-  ignore target;
+  List.iter (fun i -> take t.infos.(i - 1).rw) joined;
   let mutated = List.sort_uniq compare !written in
   let consulted =
     List.filter (fun x -> not (List.mem x mutated)) (List.sort_uniq compare !read)
@@ -688,311 +761,83 @@ let target_group_indexes t tau =
     | None -> [ tau ]
   else [ tau ]
 
-let replay_set_gen ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
-    ~expand ?col_joins:cj_override ?(mode = Cell) t (target : target) =
-  let seed_rw, seed_rows = target_rw t target in
+(* One replay-set question through the kernel: the members (unordered),
+   |𝕀c| and |𝕀r| where the mode computes them (-1 otherwise), and the
+   seed sets. [Cell] runs the column-wise and row-wise closures and
+   intersects them (Theorem E.20); every other mode is one run. *)
+let closure_members ?via_col ?via_row ?(obs = Uv_obs.Trace.disabled) ~grouped
+    ~mode t (target : target) =
   (* at transaction granularity the retroactive target is the whole
      application-level transaction: seed with the union of its entries'
      sets, and keep all of them out of the replay set *)
-  let group_indexes = if grouped then target_group_indexes t target.tau else [ target.tau ] in
+  let group_indexes =
+    if grouped then target_group_indexes t target.tau else [ target.tau ]
+  in
   let seed_rw, seed_rows =
     if grouped then
       List.fold_left
         (fun (rw, rows) i ->
           let inf = t.infos.(i - 1) in
           (Rwset.union rw inf.rw, Rowset.merge_rows rows inf.rows))
-        (seed_rw, seed_rows) group_indexes
-    else (seed_rw, seed_rows)
+        (target_rw t target) group_indexes
+    else target_rw t target
   in
-  let exclude =
+  let exclude, (seed_rw, seed_rows) =
     match target.op with
-    | Remove | Change _ -> group_indexes
-    | Add _ -> []
+    | Remove -> (group_indexes, strip_removed_reads (seed_rw, seed_rows))
+    | Change _ -> (group_indexes, (seed_rw, seed_rows))
+    | Add _ -> ([], (seed_rw, seed_rows))
   in
-  let seed_rw, seed_rows =
-    match target.op with
-    | Remove -> strip_removed_reads (seed_rw, seed_rows)
-    | Add _ | Change _ -> (seed_rw, seed_rows)
+  let run ?via span make =
+    Uv_obs.Trace.with_span obs ~cat:"analyze" span (fun () ->
+        closure ?via ~obs t ~grouped ~tau:target.tau ~exclude ~seed_rw
+          ~seed_rows make)
   in
-  let joinable =
-    (* an entry is joinable when it writes — or, at transaction
-       granularity, has a group mate. The write-only part is shared
-       across closure runs; the group part stays per-run (grouped
-       analysis is not on the per-question hot path). *)
-    let base = ungrouped_joinable t in
-    if grouped then
-      Array.init (Array.length t.infos) (fun j ->
-          base.(j) || expand t (j + 1) <> [])
-    else base
-  in
-  let run ?via make_joins =
-    compute_closure ?via ~obs t ~tau:target.tau ~exclude ~seed_rw ~seed_rows
-      ~make_joins ~joinable ~expand:(expand t)
-  in
-  let col_members () =
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.col" (fun () ->
-        run ?via:via_col
-          (match cj_override with Some f -> f | None -> col_joins t))
-  in
-  let row_members () =
-    Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.row" (fun () ->
-        run ?via:via_row (row_joins t))
-  in
-  let members, joined, col_count, row_count =
+  let col () = run ?via:via_col "closure.col" (col_candidates t) in
+  let row () = run ?via:via_row "closure.row" (row_candidates t) in
+  let members, col_count, row_count =
     match mode with
     | Col_only ->
-        let m, j = col_members () in
-        (m, Some j, List.length j, -1)
+        let c, _ = col () in
+        (c, List.length c, -1)
     | Row_only ->
-        let m, j = row_members () in
-        (m, Some j, -1, List.length j)
+        let r, _ = row () in
+        (r, -1, List.length r)
     | Cell ->
-        let mc, _ = col_members () in
-        let mr, _ = row_members () in
-        let m = Array.map2 ( && ) mc mr in
-        (m, None, count_members mc, count_members mr)
+        let c, in_col = col () in
+        let r, _ = row () in
+        (List.filter in_col r, List.length c, List.length r)
     | Joint ->
-        let m, j =
-          Uv_obs.Trace.with_span obs ~cat:"analyze" "closure.cell" (fun () ->
-              run ?via:via_row (cell_joins t))
+        let j, _ =
+          run ?via:via_row "closure.cell" (cell_candidates t ~grouped)
         in
-        (m, Some j, -1, -1)
+        (j, -1, -1)
   in
-  let mutated, consulted = classify ?joined t ~members target seed_rw in
+  (members, col_count, row_count, seed_rw)
+
+let replay_set_of ?via_col ?via_row ?obs ?(mode = Cell) ?(grouped = false) t
+    target =
+  let joined, col_only_count, row_only_count, seed_rw =
+    closure_members ?via_col ?via_row ?obs ~grouped ~mode t target
+  in
+  let members = Array.make (Array.length t.infos) false in
+  List.iter (fun i -> members.(i - 1) <- true) joined;
+  let mutated, consulted = classify t ~joined seed_rw in
   {
     members;
-    member_count =
-      (match joined with Some j -> List.length j | None -> count_members members);
+    member_count = List.length joined;
     mutated;
     consulted;
-    col_only_count = col_count;
-    row_only_count = row_count;
+    col_only_count;
+    row_only_count;
   }
 
-let replay_set ?obs ?mode t target =
-  replay_set_gen ?obs ~grouped:false ~expand:(fun _ _ -> []) ?mode t target
-
-let replay_set_grouped ?obs ?mode t target =
-  replay_set_gen ?obs ~grouped:true ~expand:group_expand ?mode t target
-
-(* Ungrouped replay set with the column-wise candidate generator replaced
-   by an external one (the template fast-path). The row-wise closure and
-   everything else stay on the built-in path, so Cell mode intersects the
-   caller's column closure with the oracle row closure. *)
-let replay_set_via ?obs ?mode t ~col_joins target =
-  replay_set_gen ?obs ~grouped:false
-    ~expand:(fun _ _ -> [])
-    ~col_joins ?mode t target
-
-(* ------------------------------------------------------------------ *)
-(* Lean replay-set computation over the cell index                      *)
-(* ------------------------------------------------------------------ *)
-
-let build_cell_index t =
-  let ci =
-    {
-      ci_generation = Rowset.merge_generation t.row_state;
-      ci_n = Array.length t.infos;
-      cw_val = Hashtbl.create 1024;
-      cw_any = Hashtbl.create 64;
-      cw_all = Hashtbl.create 64;
-      cr_val = Hashtbl.create 1024;
-      cr_any = Hashtbl.create 64;
-      cr_all = Hashtbl.create 64;
-    }
-  in
-  let push tbl key i =
-    let b = bucket tbl key in
-    b := i :: !b
-  in
-  Array.iter
-    (fun inf ->
-      let i = inf.index in
-      (* one column's cells: the column crossed with its table's dim0
-         access. A column whose table has no row entry touches no cell
-         (unreachable through the row-wise closure, matching
-         [cell_pair_conflict]); empty row sets touch no cell either. *)
-      let file v_tbl a_tbl all_tbl c rs =
-        match rs with
-        | None -> ()
-        | Some Rowset.Any ->
-            push a_tbl c i;
-            push all_tbl c i
-        | Some (Rowset.Vals s) ->
-            if not (Rowset.Vset.is_empty s) then begin
-              let table = table_of_col c in
-              let dim0 = dim0_of t.config table in
-              Rowset.Vset.iter
-                (fun v ->
-                  let cv = Rowset.canonical t.row_state table dim0 v in
-                  push v_tbl (c ^ "|" ^ cv) i)
-                s;
-              push all_tbl c i
-            end
-      in
-      let access_of c side =
-        match List.assoc_opt (table_of_col c) inf.rows with
-        | Some access when Array.length access > 0 ->
-            Some
-              (match side with
-              | `W -> access.(0).Rowset.dw
-              | `R -> access.(0).Rowset.dr)
-        | _ -> None
-      in
-      Rwset.Colset.iter
-        (fun c ->
-          if not (is_schema_key c) then
-            file ci.cw_val ci.cw_any ci.cw_all c (access_of c `W))
-        inf.rw.Rwset.w;
-      (* read-only entries never join an ungrouped closure: keep them out
-         of the index so scans stay proportional to joinable work *)
-      if not (Rwset.Colset.is_empty inf.rw.Rwset.w) then
-        Rwset.Colset.iter
-          (fun c ->
-            if not (is_schema_key c) then
-              file ci.cr_val ci.cr_any ci.cr_all c (access_of c `R))
-          inf.rw.Rwset.r)
-    t.infos;
-  ci
-
-let cell_index_of t =
-  match t.cell_index with
-  | Some ci
-    when ci.ci_generation = Rowset.merge_generation t.row_state
-         && ci.ci_n = Array.length t.infos ->
-      ci
-  | _ ->
-      let ci = build_cell_index t in
-      t.cell_index <- Some ci;
-      ci
-
-(* Joint-mode replay-set membership without the O(history) arrays:
-   epoch-stamped scratch (allocated once per analyzer, reused across
-   questions) plus cell-index candidate generation. Returns the member
-   indexes, ascending. Single closure at a time per analyzer. *)
-let replay_members_joint t (target : target) =
-  let n = Array.length t.infos in
-  if Array.length t.scratch_members < n then begin
-    t.scratch_members <- Array.make (max n 64) 0;
-    t.scratch_excluded <- Array.make (max n 64) 0
-  end;
-  t.closure_epoch <- t.closure_epoch + 1;
-  let epoch = t.closure_epoch in
-  let members = t.scratch_members and excluded = t.scratch_excluded in
-  let seed_rw, seed_rows = target_rw t target in
-  let seed_rw, seed_rows =
-    match target.op with
-    | Remove -> strip_removed_reads (seed_rw, seed_rows)
-    | Add _ | Change _ -> (seed_rw, seed_rows)
-  in
-  (match target.op with
-  | Remove | Change _ ->
-      if target.tau >= 1 && target.tau <= n then
-        excluded.(target.tau - 1) <- epoch
-  | Add _ -> ());
-  let joinable = ungrouped_joinable t in
-  let tau = target.tau in
-  let live i =
-    i >= tau && i <= n
-    && excluded.(i - 1) <> epoch
-    && joinable.(i - 1)
-    && members.(i - 1) <> epoch
-  in
-  let ci = cell_index_of t in
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 64 in
-  let joined = ref [] in
-  let queue = Queue.create () in
-  let offers = ref [] in
-  let fetch tbl key () =
-    match Hashtbl.find_opt tbl key with
-    | None -> []
-    | Some b -> List.rev !b
-  in
-  (* candidates cell-conflicting with (rw, rows), past [min_idx] — the
-     same forward-only contract as [joins_fn] *)
-  let candidates ~min_idx (rw : Rwset.rw) rows =
-    offers := [];
-    let scan key fetch =
-      scan_pruned cache ~live ~min_idx
-        ~offer:(fun i -> offers := i :: !offers)
-        key fetch
-    in
-    let scan_family v_tbl a_tbl all_tbl tag c rs =
-      match rs with
-      | None -> ()
-      | Some Rowset.Any ->
-          (* wildcard rows conflict with every row of the column *)
-          scan ("A" ^ tag ^ c) (fetch all_tbl c)
-      | Some (Rowset.Vals s) ->
-          if not (Rowset.Vset.is_empty s) then begin
-            scan ("N" ^ tag ^ c) (fetch a_tbl c);
-            let table = table_of_col c in
-            let dim0 = dim0_of t.config table in
-            Rowset.Vset.iter
-              (fun v ->
-                let cv = Rowset.canonical t.row_state table dim0 v in
-                scan
-                  ("V" ^ tag ^ c ^ "|" ^ cv)
-                  (fetch v_tbl (c ^ "|" ^ cv)))
-              s
-          end
-    in
-    let access_of c side =
-      match List.assoc_opt (table_of_col c) rows with
-      | Some access when Array.length access > 0 ->
-          Some
-            (match side with
-            | `W -> access.(0).Rowset.dw
-            | `R -> access.(0).Rowset.dr)
-      | _ -> None
-    in
-    Rwset.Colset.iter
-      (fun c ->
-        if is_schema_key c then begin
-          scan ("Sr|" ^ c) (fetch t.readers_by_col c);
-          scan ("Sw|" ^ c) (fetch t.writers_by_col c)
-        end
-        else begin
-          let acc = access_of c `W in
-          scan_family ci.cr_val ci.cr_any ci.cr_all "r|" c acc;
-          scan_family ci.cw_val ci.cw_any ci.cw_all "w|" c acc
-        end)
-      rw.Rwset.w;
-    Rwset.Colset.iter
-      (fun c ->
-        if is_schema_key c then scan ("Sw|" ^ c) (fetch t.writers_by_col c)
-        else scan_family ci.cw_val ci.cw_any ci.cw_all "w|" c (access_of c `R))
-      rw.Rwset.r;
-    List.filter
-      (fun i -> cell_pair_conflict t rw rows t.infos.(i - 1))
-      (List.sort_uniq compare !offers)
-  in
-  let join i =
-    if live i then begin
-      members.(i - 1) <- epoch;
-      joined := i :: !joined;
-      Queue.push i queue
-    end
-  in
-  List.iter join (candidates ~min_idx:(tau - 1) seed_rw seed_rows);
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    let inf = t.infos.(i - 1) in
-    List.iter join (candidates ~min_idx:i inf.rw inf.rows)
-  done;
-  List.sort compare !joined
-
-let members_list (rs : replay_set) =
-  let acc = ref [] in
-  for i = Array.length rs.members downto 1 do
-    if rs.members.(i - 1) then acc := i :: !acc
-  done;
-  !acc
+let replay_set ?obs ?mode ?grouped t target =
+  replay_set_of ?obs ?mode ?grouped t target
 
 let replay_members ?(mode = Joint) t target =
-  match mode with
-  | Joint -> replay_members_joint t target
-  | m -> members_list (replay_set ~mode:m t target)
+  let joined, _, _, _ = closure_members ~grouped:false ~mode t target in
+  List.sort Int.compare joined
 
 let canonical_row_value t ~table v =
   Rowset.canonical t.row_state table (dim0_of t.config table)
@@ -1012,23 +857,17 @@ type provenance = {
   p_row_via : int option; (* ditto, row-wise closure *)
 }
 
-let replay_set_explained ?mode ?(grouped = false) t (target : target) =
-  let n = Array.length t.infos in
-  let via_col = Array.make n min_int and via_row = Array.make n min_int in
-  let rs =
-    if grouped then
-      replay_set_gen ~via_col ~via_row ~grouped:true ~expand:group_expand ?mode
-        t target
-    else
-      replay_set_gen ~via_col ~via_row ~grouped:false
-        ~expand:(fun _ _ -> [])
-        ?mode t target
-  in
-  let decode a j = if a.(j) = min_int then None else Some a.(j) in
+let replay_set_explained ?mode ?grouped t (target : target) =
+  let via_col = Hashtbl.create 64 and via_row = Hashtbl.create 64 in
+  let rs = replay_set_of ~via_col ~via_row ?mode ?grouped t target in
   let prov =
-    Array.init n (fun j ->
+    Array.init (Array.length t.infos) (fun j ->
         if rs.members.(j) then
-          Some { p_col_via = decode via_col j; p_row_via = decode via_row j }
+          Some
+            {
+              p_col_via = Hashtbl.find_opt via_col (j + 1);
+              p_row_via = Hashtbl.find_opt via_row (j + 1);
+            }
         else None)
   in
   (rs, prov)
@@ -1137,11 +976,7 @@ let entry_row_tokens t (inf : info) table ~write =
       | Rowset.Vals s ->
           if Rowset.Vset.is_empty s then []
           else
-            let dim0 =
-              match List.assoc_opt table t.config.Rowset.ri_columns with
-              | Some (d :: _) -> d
-              | _ -> "#0"
-            in
+            let dim0 = dim0_of t.config table in
             Rowset.Vset.fold
               (fun v acc -> Rowset.canonical t.row_state table dim0 v :: acc)
               s [])
@@ -1179,12 +1014,6 @@ let dependency_edges t ~members =
         b
   in
   let scan_limit = 64 in
-  let table_of_col c =
-    match String.index_opt c '.' with
-    | Some i -> String.sub c 0 i
-    | None -> c
-  in
-  let tokens_for inf table ~write = entry_row_tokens t inf table ~write in
   Array.iter
     (fun inf ->
       if members.(inf.index - 1) then begin
@@ -1212,7 +1041,7 @@ let dependency_edges t ~members =
         in
         let touch c ~write =
           let table = table_of_col c in
-          let toks = tokens_for inf table ~write in
+          let toks = entry_row_tokens t inf table ~write in
           List.iter
             (fun v ->
               (* conflict with same-value and wildcard buckets; a wildcard

@@ -30,18 +30,21 @@ type op =
 type target = { tau : int; op : op }
 
 type mode = Col_only | Row_only | Cell | Joint
-(** [Cell] intersects two independent closures (Theorem E.20); [Joint]
-    closes over the pairwise cell conflict relation instead — a member
-    pulls in an entry only when they conflict both column-wise and
-    row-wise with {e each other}. Joint ⊆ Cell (every joint conflict is a
-    conflict in both constituent closures), and joint ⊇ the true
-    dependency closure (a shared cell implies shared columns and shared
-    rows), so it is sound and at least as tight. Its cost is bounded by
-    the row-value buckets actually touched rather than the history
-    length, which is what lets replay-set computation stay flat while
-    the log grows — the history-scale bench gates on this. [Cell]
-    remains the default for bit-for-bit continuity of existing
-    replay-set counts. *)
+(** The granularity of the closure. Every mode runs the same worklist and
+    only picks the candidate generator: [Col_only] closes over column-wise
+    conflicts (𝕀c), [Row_only] over row-wise ones (𝕀r), and [Cell] runs
+    both and intersects them (Theorem E.20). [Joint] closes over the
+    pairwise cell conflict relation instead — a member pulls in an entry
+    only when they touch a common cell: a shared column, direction-aware,
+    on a shared first-dimension row value, verified multi-dimensionally.
+    Joint ⊆ Cell (every joint conflict is a conflict in both constituent
+    closures), and joint ⊇ the true dependency closure, so it is sound
+    and at least as tight. Its candidates come from a cell-granular
+    value index, so its cost is bounded by the buckets actually touched
+    rather than the history length, which is what lets replay-set
+    computation stay flat while the log grows — the history-scale bench
+    gates on this. [Cell] remains the default for bit-for-bit continuity
+    of existing replay-set counts. *)
 
 type info = {
   index : int;
@@ -131,49 +134,29 @@ type replay_set = {
   row_only_count : int;  (** |𝕀r| *)
 }
 
-val replay_set : ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
-(** Compute 𝕀 for a target. [obs] records one [closure.col]/[closure.row]
-    span per closure run and counts worklist pops in
-    [analyze.closure_iters]. *)
-
-val replay_set_grouped :
-  ?obs:Uv_obs.Trace.t -> ?mode:mode -> t -> target -> replay_set
-(** Transaction-granularity variant used by the non-transpiled (D)
-    system: entries sharing an [app_txn] tag join or stay out of 𝕀 as a
-    unit, and set propagation runs over the per-transaction unions. *)
-
-val replay_members : ?mode:mode -> t -> target -> int list
-(** The replay-set members as a sorted list of 1-based commit indexes.
-    For [Joint] (the default here) this runs a lean closure that never
-    materializes [length t]-sized arrays: candidates come from
-    cell-granular value buckets and membership scratch is epoch-stamped,
-    so the cost of answering a what-if question scales with the replay
-    set and the buckets it touches, not with the history length. Agrees
-    exactly with [members_of (replay_set ~mode)] for every mode; other
-    modes delegate to {!replay_set}. *)
-
-type joins_fn = min_idx:int -> Rwset.rw -> Rowset.entry_rows -> int list
-(** Candidate generator used by the closure worklist: given a member's
-    sets, return candidate indexes past [min_idx] that may conflict with
-    it. The first call (and only the first) carries the target's seed
-    sets; every later call is a joined member calling with its own index
-    as [min_idx], so [min_idx] identifies the member. Over-approximation
-    is safe (candidates are re-filtered for liveness and joinability);
-    omission is not. *)
-
-val replay_set_via :
+val replay_set :
   ?obs:Uv_obs.Trace.t ->
   ?mode:mode ->
+  ?grouped:bool ->
   t ->
-  col_joins:(live:(int -> bool) -> joins_fn) ->
   target ->
   replay_set
-(** [replay_set] with the column-wise candidate generator replaced by an
-    external one — the template-matrix fast-path. [col_joins ~live] is
-    invoked once per column-closure run; candidates for which [live] is
-    false may be skipped. The row-wise closure stays on the built-in
-    per-statement path, so [`Cell] intersects the caller's column closure
-    with the oracle row closure. *)
+(** Compute 𝕀 for a target ([mode] defaults to [Cell]). With [grouped]
+    (the non-transpiled D system), the closure runs at transaction
+    granularity: entries sharing an [app_txn] tag join or stay out of 𝕀
+    as a unit, and a read-only entry with a tag is joinable. [obs]
+    records one [closure.col]/[closure.row]/[closure.cell] span per
+    closure run and counts worklist pops in [analyze.closure_iters].
+    Closure state is per call, so concurrent calls on one analyzer are
+    safe for [Remove] targets; extracting an [Add]/[Change] statement's
+    row sets still writes the shared alias/merge state. *)
+
+val replay_members : ?mode:mode -> t -> target -> int list
+(** The replay-set members as a sorted list of 1-based commit indexes
+    ([mode] defaults to [Joint]). The same closure as {!replay_set},
+    without materializing the [length t]-sized [members] array — so the
+    cost of a [Joint] question scales with the replay set and the
+    buckets it touches, not with the history length. *)
 
 val canonical_row_value : t -> table:string -> Value.t -> string
 (** Canonical first-dimension RI token for a value of [table] under the

@@ -1,9 +1,3 @@
-type plan = {
-  waves : int list list;
-  conflict_edges : int;
-  statements : int;
-}
-
 let is_schema_key k = String.length k > 3 && String.sub k 0 3 = "_S."
 
 (* cell-wise conflict: column-level overlap refined by row-level overlap;
@@ -57,37 +51,4 @@ let plan ?(config = Rowset.default_config) ~base stmts =
         edges := (i, j) :: !edges
     done
   done;
-  let dag = Conflict_dag.build ~nodes:(List.init n Fun.id) ~edges:!edges in
-  {
-    waves = Conflict_dag.waves dag;
-    conflict_edges = Conflict_dag.edge_count dag;
-    statements = n;
-  }
-
-let wave_count p = List.length p.waves
-
-let parallelism p =
-  if p.waves = [] then 1.0
-  else float_of_int p.statements /. float_of_int (List.length p.waves)
-
-let execute eng stmts plan =
-  let arr = Array.of_list stmts in
-  List.concat_map
-    (fun wave ->
-      List.filter_map
-        (fun i ->
-          match Uv_db.Engine.exec eng arr.(i) with
-          | r -> Some (i, r)
-          | exception (Uv_db.Engine.Sql_error _ | Uv_db.Engine.Signal_raised _) ->
-              None)
-        wave)
-    plan.waves
-
-let pp fmt p =
-  Format.fprintf fmt "%d statements, %d waves (parallelism %.1fx, %d conflicts)@."
-    p.statements (wave_count p) (parallelism p) p.conflict_edges;
-  List.iteri
-    (fun w ids ->
-      Format.fprintf fmt "  wave %d: %s@." w
-        (String.concat ", " (List.map string_of_int ids)))
-    p.waves
+  Conflict_dag.build ~nodes:(List.init n Fun.id) ~edges:!edges

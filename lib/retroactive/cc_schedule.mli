@@ -14,31 +14,13 @@
     placed after every earlier statement it conflicts with (read-write,
     write-read or write-write on the same column and RI value). *)
 
-
-
-type plan = {
-  waves : int list list;
-      (** 0-based indexes into the input batch, wave by wave; indexes
-          inside a wave are mutually conflict-free *)
-  conflict_edges : int;
-  statements : int;
-}
-
 val plan :
-  ?config:Rowset.config -> base:Uv_db.Catalog.t -> Uv_sql.Ast.stmt list -> plan
-(** Schedule a batch against the schema/alias state of [base]. *)
-
-val wave_count : plan -> int
-
-val parallelism : plan -> float
-(** Average statements per wave — the speedup an ideal executor with
-    enough workers achieves over serial execution. *)
-
-val execute :
-  Uv_db.Engine.t -> Uv_sql.Ast.stmt list -> plan -> (int * Uv_db.Engine.result) list
-(** Execute the batch wave by wave (statements within a wave in index
-    order — any order is equivalent by construction). Returns results in
-    execution order with their batch indexes. Failed statements are
-    skipped. *)
-
-val pp : Format.formatter -> plan -> unit
+  ?config:Rowset.config ->
+  base:Uv_db.Catalog.t ->
+  Uv_sql.Ast.stmt list ->
+  Conflict_dag.t
+(** Schedule a batch against the schema/alias state of [base]. Node ids
+    are 0-based indexes into the batch; {!Conflict_dag.waves} packs them
+    into conflict-free waves, and {!Conflict_dag.parallelism} is the
+    speedup an ideal executor with enough workers achieves over serial
+    execution. *)

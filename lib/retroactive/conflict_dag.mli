@@ -14,9 +14,9 @@
 
     The what-if cost model and the D-system simulator call {!makespan}
     directly for the simulated parallel replay cost (the paper's Table 8
-    number); [Cc_schedule] (concurrency-control planner) packs its
-    batches with {!waves}. Replay itself always runs serially in commit
-    order. *)
+    number); [Cc_schedule.plan] (concurrency-control planner) returns
+    one, and its {!waves} are the planned batches. Replay itself always
+    runs serially in commit order. *)
 
 type edge = int * int
 (** [(later, earlier)]: [later] conflicts with, and must run after,

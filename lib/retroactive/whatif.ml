@@ -246,10 +246,8 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   (* 1. replay-set computation *)
   let rs =
     phase "analyze" (fun () ->
-        if config.Config.grouped then
-          Analyzer.replay_set_grouped ~obs ~mode:config.Config.mode analyzer
-            target
-        else Analyzer.replay_set ~obs ~mode:config.Config.mode analyzer target)
+        Analyzer.replay_set ~obs ~mode:config.Config.mode
+          ~grouped:config.Config.grouped analyzer target)
   in
   let analysis_ms = List.assoc "analyze" !phases in
   let members = member_indexes rs in

@@ -246,8 +246,9 @@ store_smoke() {
 step "store smoke: segmented save, damaged chunk, salvage" store_smoke
 
 # the history-scale gate in miniature: the segmented store streams a
-# grown history while per-question replay-set cost stays flat (the full
-# 100k-transaction run is the CI BENCH_8 job)
+# grown history while the closure kernel's per-member replay-set cost
+# stays flat, and the joint and cell what-ifs agree on the universe hash
+# (the full 100k-transaction run is the CI BENCH_8 job)
 step "bench smoke: history scale (quick)" \
   dune exec bench/main.exe -- --quick --only history-scale
 

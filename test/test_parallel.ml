@@ -175,6 +175,53 @@ let test_hash_jumper_falls_back () =
     (universe_hash e out)
 
 (* ------------------------------------------------------------------ *)
+(* Concurrent closures on one shared analyzer                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Served what-ifs compute replay sets concurrently on the read side of
+   one analyzer. Two domains ask the same questions of a fresh analyzer
+   (so they also race to build its lazy indexes); each must get exactly
+   the answers a serial run on a separate analyzer gives. [Remove]
+   targets only: extracting an added statement's row sets writes the
+   shared alias/merge state. *)
+let test_concurrent_closures (w : W.t) () =
+  let eng, base = build w ~n:60 ~dep_rate:0.3 in
+  let analyze () =
+    Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng)
+  in
+  let targets =
+    List.init (Log.length (Engine.log eng)) (fun i ->
+        { Analyzer.tau = i + 1; op = Analyzer.Remove })
+  in
+  let modes =
+    [ Analyzer.Col_only; Analyzer.Row_only; Analyzer.Cell; Analyzer.Joint ]
+  in
+  let answers anl =
+    List.map
+      (fun target ->
+        List.map
+          (fun mode ->
+            let rs = Analyzer.replay_set ~mode anl target in
+            ( Array.to_list rs.Analyzer.members,
+              (rs.Analyzer.mutated, rs.Analyzer.consulted),
+              Analyzer.replay_members ~mode anl target ))
+          modes)
+      targets
+  in
+  let serial = answers (analyze ()) in
+  let shared = analyze () in
+  let domains =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> answers shared))
+  in
+  List.iteri
+    (fun d dom ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: domain %d == serial" w.W.name d)
+        true
+        (Domain.join dom = serial))
+    domains
+
+(* ------------------------------------------------------------------ *)
 (* Conflict_dag unit tests                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -235,6 +282,8 @@ let workload_cases (w : W.t) =
     [
       Alcotest.test_case "workers in {1,2,4,8} == serial" `Slow
         (test_workers_invariant w);
+      Alcotest.test_case "concurrent closures == serial" `Quick
+        (test_concurrent_closures w);
     ] )
 
 let () =

@@ -456,7 +456,7 @@ let test_truncate_unlinks_orphans_after_manifest () =
 (* The joint replay-set path over a streamed store                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_replay_members_joint () =
+let test_joint_members_over_store () =
   let w = W.by_name "astore" in
   let eng, rt = W.setup ~mode:R.Raw w in
   let base = Engine.snapshot eng in
@@ -525,6 +525,6 @@ let () =
       ( "analysis",
         [
           Alcotest.test_case "joint replay members over a store" `Quick
-            test_replay_members_joint;
+            test_joint_members_over_store;
         ] );
     ]

@@ -168,6 +168,51 @@ let test_b_replay_deterministic (w : W.t) () =
     (all_hashes (Engine.catalog eng))
     (all_hashes (Engine.catalog replay_eng))
 
+(* Every mode's [replay_members] is the same closure as its
+   [replay_set]: 40 random Remove/Add/Change targets per workload over a
+   raw-mode history. *)
+let members_list (rs : Analyzer.replay_set) =
+  let out = ref [] in
+  Array.iteri (fun i m -> if m then out := (i + 1) :: !out) rs.Analyzer.members;
+  List.rev !out
+
+let random_target prng log =
+  let n = Log.length log in
+  let tau = 1 + Uv_util.Prng.int prng n in
+  let any_stmt () = (Log.entry log (1 + Uv_util.Prng.int prng n)).Log.stmt in
+  match Uv_util.Prng.int prng 3 with
+  | 0 -> { Analyzer.tau; op = Analyzer.Remove }
+  | 1 -> { Analyzer.tau; op = Analyzer.Add (any_stmt ()) }
+  | _ -> { Analyzer.tau; op = Analyzer.Change (any_stmt ()) }
+
+let test_replay_members_all_modes (w : W.t) () =
+  let eng, _rt, base, _ = build w ~mode:R.Raw ~n:80 ~dep_rate:0.3 in
+  let log = Engine.log eng in
+  let anl = Analyzer.analyze ~config:w.W.ri_config ~base log in
+  let prng = Uv_util.Prng.create 7 in
+  for k = 1 to 40 do
+    let target = random_target prng log in
+    List.iter
+      (fun (mode, name) ->
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "%s scenario %d (tau=%d %s, %s)" w.W.name k
+             target.Analyzer.tau
+             (match target.Analyzer.op with
+             | Analyzer.Remove -> "remove"
+             | Analyzer.Add _ -> "add"
+             | Analyzer.Change _ -> "change")
+             name)
+          (members_list (Analyzer.replay_set ~mode anl target))
+          (Analyzer.replay_members ~mode anl target))
+      [
+        (Analyzer.Col_only, "col-only");
+        (Analyzer.Row_only, "row-only");
+        (Analyzer.Cell, "cell");
+        (Analyzer.Joint, "joint");
+      ]
+  done
+
 let workload_cases (w : W.t) =
   ( w.W.name,
     [
@@ -182,6 +227,8 @@ let workload_cases (w : W.t) =
       Alcotest.test_case "hash-jumper neutral" `Quick (test_hash_jumper_overhead_only w);
       Alcotest.test_case "B replay deterministic" `Quick
         (test_b_replay_deterministic w);
+      Alcotest.test_case "replay_members == replay_set, all modes" `Slow
+        (test_replay_members_all_modes w);
     ] )
 
 let () = Alcotest.run "uv_workloads" (List.map workload_cases (W.all ()))
