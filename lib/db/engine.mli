@@ -79,28 +79,9 @@ val catalog : t -> Catalog.t
 val log : t -> Log.t
 val clock : t -> Uv_util.Clock.t
 
-type plan
-(** A compiled statement plan: column offsets resolved, WHERE predicate
-    and SET list compiled to closures over the row array, index-probe
-    opportunity noted. Immutable after {!prepare}, so safe to share
-    read-only across replay domains. A plan holds no table handle — it
-    re-binds by name at execution and self-validates (physical equality
-    of the schema record, absence of triggers), falling back to the
-    interpreter when stale, so executing with a plan is always
-    observationally identical to executing without one. *)
-
-val prepare : Catalog.t -> Ast.stmt -> plan option
-(** Compile a trigger-free UPDATE or DELETE on a base table whose WHERE
-    and SET expressions stay within the pure subset (columns, literals,
-    arithmetic, comparisons, AND/OR, NOT, IS NULL, BETWEEN, IN over pure
-    items). [None] for everything else — other statement forms, view
-    targets, triggered tables, or expressions that could draw
-    non-determinism or read other tables. *)
-
 val exec :
   ?app_txn:string ->
   ?nondet:Value.t list ->
-  ?plan:plan ->
   t ->
   Ast.stmt ->
   result
@@ -109,10 +90,8 @@ val exec :
     RAND()/NOW()/AUTO_INCREMENT draws in order (retroactive replay);
     draws beyond the list fall back to fresh values (retroactively *added*
     queries, §4.4). [~app_txn] tags the entry with the application-level
-    transaction that issued it. [~plan] must be a plan
-    {!prepare}d from this very statement (the what-if session caches
-    plans keyed by log-entry identity); a plan that no longer binds is
-    ignored in favour of the interpreter. *)
+    transaction that issued it. Live, ingested and replayed statements
+    all run through this one interpreter. *)
 
 val exec_sql : ?app_txn:string -> ?nondet:Value.t list -> t -> string -> result
 (** [exec] after parsing. *)

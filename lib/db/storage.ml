@@ -49,7 +49,7 @@ type t = {
   mutable pool_len : int;
   mutable pool_ids : (string, int) Hashtbl.t;
   (* ascending-rowid scan order: slots in rowid order while inserts stay
-     monotone; an out-of-order insert (undo re-insert, pinned replay
+     monotone; an out-of-order insert (undo re-insert, fixed-rowid replay
      ranges) marks it dirty and scans sort locally instead *)
   mutable order : int array;
   mutable order_len : int;

@@ -327,12 +327,13 @@ let schema_view_at t upto =
 
 let target_rw t (target : target) =
   let sv = schema_view_at t target.tau in
-  (* row extraction runs against the analysed head's alias/merge state —
-     a superset of the state at τ, which can only widen the target's
-     sets *)
+  (* row extraction reads the analysed head's alias/merge state — a
+     superset of the state at τ, which can only widen the target's sets —
+     through a view that never writes it: the statement is hypothetical,
+     and concurrent closures share the state *)
   let sets_of stmt =
     ( Rwset.of_stmt sv stmt,
-      Rowset.of_entry t.row_state sv stmt [] )
+      Rowset.of_entry (Rowset.non_learning t.row_state) sv stmt [] )
   in
   let old_sets () =
     if target.tau >= 1 && target.tau <= Array.length t.infos then

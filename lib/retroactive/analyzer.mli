@@ -147,9 +147,10 @@ val replay_set :
     as a unit, and a read-only entry with a tag is joinable. [obs]
     records one [closure.col]/[closure.row]/[closure.cell] span per
     closure run and counts worklist pops in [analyze.closure_iters].
-    Closure state is per call, so concurrent calls on one analyzer are
-    safe for [Remove] targets; extracting an [Add]/[Change] statement's
-    row sets still writes the shared alias/merge state. *)
+    Closure state is per call, and an [Add]/[Change] statement's row
+    sets are extracted through a {!Rowset.non_learning} view, so
+    concurrent calls on one analyzer are safe and never change its
+    alias/merge state. *)
 
 val replay_members : ?mode:mode -> t -> target -> int list
 (** The replay-set members as a sorted list of 1-based commit indexes

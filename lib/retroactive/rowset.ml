@@ -26,11 +26,15 @@ type t = {
   (* bumped per new union-find link; the incremental analyzer re-keys
      its value-bucket indexes only when this moved *)
   mutable merge_generation : int;
+  (* false in a [non_learning] view: alias and merge writes are skipped *)
+  learn : bool;
 }
 
 let create config =
   { config; alias_map = Hashtbl.create 256; merge_parent = Hashtbl.create 64;
-    merge_generation = 0 }
+    merge_generation = 0; learn = true }
+
+let non_learning t = { t with learn = false }
 
 let merge_generation t = t.merge_generation
 
@@ -62,7 +66,7 @@ let canonical t table dim v = find_root t table dim v
 
 let merge_values t table dim v1 v2 =
   let r1 = find_root t table dim v1 and r2 = find_root t table dim v2 in
-  if not (String.equal r1 r2) then begin
+  if t.learn && not (String.equal r1 r2) then begin
     Hashtbl.replace t.merge_parent (table, dim, r2) r1;
     t.merge_generation <- t.merge_generation + 1
   end
@@ -379,9 +383,10 @@ let insert_rows t env sv table columns values nondet : entry_rows =
           | _ -> ())
         (aliases_for t real_table))
     values;
-  List.iter
-    (fun (acol, av, rv) -> Hashtbl.replace t.alias_map (real_table, acol, av) rv)
-    !learned;
+  if t.learn then
+    List.iter
+      (fun (acol, av, rv) -> Hashtbl.replace t.alias_map (real_table, acol, av) rv)
+      !learned;
   let access =
     if dims = [] then any_access t sv real_table
     else Array.map (fun w -> { dr = Vals Vset.empty; dw = w }) per_dim_written
@@ -430,7 +435,7 @@ let update_rows_access t env sv table assigns where : entry_rows =
              | Some re -> peval env re
              | None -> None)
           with
-          | Some av, Some rv ->
+          | Some av, Some rv when t.learn ->
               Hashtbl.replace t.alias_map
                 (real_table, acol, Value.serialize av)
                 (Value.serialize rv)
@@ -647,12 +652,6 @@ let overlaps t table (earlier : taccess) kind (later : taccess) =
   let dims_e = Array.length earlier and dims_l = Array.length later in
   if dims_e <> dims_l then true (* shape mismatch: be conservative *)
   else begin
-    let dims =
-      (* dimension column names for canonicalisation; we only have the
-         index here, so use positional pseudo-names *)
-      Array.init dims_e (fun i -> "#" ^ string_of_int i)
-    in
-    ignore dims;
     let dim_names =
       match List.assoc_opt table t.config.ri_columns with
       | Some ds when List.length ds = dims_e -> Array.of_list ds

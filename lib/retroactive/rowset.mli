@@ -49,6 +49,13 @@ type t
 
 val create : config -> t
 
+val non_learning : t -> t
+(** A view sharing [t]'s alias and merge tables that never writes them:
+    {!of_entry} through it reads the learned state but skips every alias
+    and merge update. For extracting a hypothetical statement's rows
+    without teaching the committed history's state, and safe beside
+    concurrent readers of [t]. *)
+
 val seed_aliases : t -> Uv_db.Catalog.t -> unit
 (** Learn alias-column mappings from rows already in the database when
     logging began (the checkpoint): for each declared (table, alias_col,
@@ -63,8 +70,8 @@ val merge_rows : entry_rows -> entry_rows -> entry_rows
 val of_entry : t -> Schema_view.t -> Ast.stmt -> Value.t list -> entry_rows
 (** Row-wise access of one statement. The [Value.t list] is the entry's
     recorded non-determinism (AUTO_INCREMENT keys are recovered from it).
-    This *also* updates alias and merge state, so entries must be fed in
-    commit order. *)
+    This *also* updates alias and merge state (unless [t] is a
+    {!non_learning} view), so entries must be fed in commit order. *)
 
 val canonical : t -> string -> string -> string -> string
 (** [canonical t table dim v] resolves a serialized value through the

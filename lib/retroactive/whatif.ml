@@ -8,13 +8,11 @@ module Config = struct
     deadline_ms : float option;
     fault : Uv_fault.Fault.t;
     checkpoint_every : int;
-    plans : bool;
   }
 
   let make ?(mode = Analyzer.Cell) ?(workers = 8) ?(hash_jumper = false)
       ?(grouped = false) ?(obs = Uv_obs.Trace.disabled) ?deadline_ms
-      ?(fault = Uv_fault.Fault.disabled) ?(checkpoint_every = 0)
-      ?(plans = true) () =
+      ?(fault = Uv_fault.Fault.disabled) ?(checkpoint_every = 0) () =
     {
       mode;
       workers = max 1 workers;
@@ -24,7 +22,6 @@ module Config = struct
       deadline_ms;
       fault;
       checkpoint_every = max 0 checkpoint_every;
-      plans;
     }
 
   let default = make ()
@@ -36,7 +33,6 @@ module Config = struct
   let deadline_ms c = c.deadline_ms
   let fault c = c.fault
   let checkpoint_every c = c.checkpoint_every
-  let plans c = c.plans
 end
 
 module Error = struct
@@ -107,7 +103,7 @@ let member_indexes (rs : Analyzer.replay_set) =
    A non-member writing the same *cell* as a member would have joined
    the replay set through the W∩W rule in both closures, so per-cell
    merges commute and both strategies leave identical cell values.
-   AUTO_INCREMENT counters are pinned to what the undo path would have
+   AUTO_INCREMENT counters are set to what the undo path would have
    left (the pre-statement value journalled by the oldest undone entry
    that records one; live otherwise), and the rowid allocator is raised
    back to its live watermark so replayed inserts land in fresh slots
@@ -189,8 +185,8 @@ let checkpoint_rollback ladder log temp_cat undo_list =
             true
           end)
 
-let run_inner ~(config : Config.t) ~cur_phase ~analyzer
-    ?(plan_for = fun _ -> None) eng (target : Analyzer.target) =
+let run_inner ~(config : Config.t) ~cur_phase ~analyzer eng
+    (target : Analyzer.target) =
   let obs = config.Config.obs in
   let fault = config.Config.fault in
   let log = Uv_db.Engine.log eng in
@@ -322,17 +318,10 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
   let replayed = ref 0 in
   let hash_jump_at = ref None in
   let retries = ref 0 in
-  (* compiled plans from the service cache, one lookup per member *)
-  let member_plans = List.map (fun i -> (i, plan_for i)) members in
-  let plans_used =
-    List.length (List.filter (fun (_, p) -> Option.is_some p) member_plans)
-  in
-  if plans_used > 0 then
-    Uv_obs.Trace.incr obs ~by:plans_used "whatif.plans_used";
   phase "replay" (fun () ->
         let temp_eng = Uv_db.Engine.of_catalog ~rtt_ms:rtt ~obs ~fault temp_cat in
         let temp_log = Uv_db.Engine.log temp_eng in
-        let exec_timed ?app_txn ?nondet ?plan idx stmt =
+        let exec_timed ?app_txn ?nondet idx stmt =
           check_deadline ();
           let s = Uv_util.Clock.now_ms () in
           let len0 = Uv_db.Log.length temp_log in
@@ -341,7 +330,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
              exactly; a second injection aborts the run *)
           let rec attempt again =
             try
-              ignore (Uv_db.Engine.exec ?app_txn ?nondet ?plan temp_eng stmt);
+              ignore (Uv_db.Engine.exec ?app_txn ?nondet temp_eng stmt);
               if Uv_db.Log.length temp_log > len0 then
                 Hashtbl.replace entry_of idx (Uv_db.Log.entry temp_log (len0 + 1))
             with
@@ -373,11 +362,11 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
         | Analyzer.Remove -> ());
         (try
            List.iteri
-             (fun pos (i, plan) ->
+             (fun pos i ->
                let entry = Uv_db.Log.entry log i in
                Uv_db.Engine.set_sim_time temp_eng (1_700_000_000 + i);
                exec_timed ~nondet:entry.Uv_db.Log.nondet
-                 ?app_txn:entry.Uv_db.Log.app_txn ?plan i entry.Uv_db.Log.stmt;
+                 ?app_txn:entry.Uv_db.Log.app_txn i entry.Uv_db.Log.stmt;
                incr replayed;
                match jumper with
                | Some exp ->
@@ -391,7 +380,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
                    end
                    else Uv_obs.Trace.incr obs "hash_jumper.misses"
                | None -> ())
-             member_plans
+             members
          with Exit -> ());
         (* on a hash-hit the original tables are retained (§4.5): reflect the
            original's affected tables in the temporary catalog so the outcome's
@@ -504,7 +493,7 @@ let run_inner ~(config : Config.t) ~cur_phase ~analyzer
     temp_catalog = temp_cat;
     new_log;
     rollback_strategy;
-    plans_used;
+    plans_used = 0;
   }
 
 let guarded cur_phase f =
@@ -530,13 +519,11 @@ let guarded cur_phase f =
 (* Service: thread-safe what-if over one shared, growing history        *)
 (* ------------------------------------------------------------------ *)
 
-module Imap = Map.Make (Int)
-
 module Service = struct
   (* One immutable view of every analysis cache, published as a unit:
      readers obtain the whole set with a single atomic load and can
      never observe a half-swapped cache (analyzer from one history
-     length, plans from another). The atomic swap alone is not the full
+     length, epoch from another). The atomic swap alone is not the full
      concurrency argument, though — [Analyzer.extend] mutates the
      analyzer value *inside* the current snapshot in place. The
      reader/writer lock is what makes that sound: ingest/publish runs
@@ -547,11 +534,9 @@ module Service = struct
     analyzer : Analyzer.t option;
     analyzed_len : int;
     epoch : int;
-    plans : Uv_db.Engine.plan option Imap.t;
   }
 
-  let empty_snapshot =
-    { analyzer = None; analyzed_len = 0; epoch = -1; plans = Imap.empty }
+  let empty_snapshot = { analyzer = None; analyzed_len = 0; epoch = -1 }
 
   type reply = { outcome : outcome; history_len : int }
 
@@ -560,7 +545,6 @@ module Service = struct
     analyzer_builds : int;
     analyzer_extends : int;
     analyzed_entries : int;
-    plan_cache_size : int;
     plans_compiled : int;
     plan_cache_hits : int;
     checkpoint_rungs : int;
@@ -578,19 +562,20 @@ module Service = struct
     base : Uv_db.Catalog.t option;
     lock : Uv_util.Rwlock.t;
     state : snapshot Atomic.t;
-    pinned : bool;
-        (* one-shot wrapper mode: trust the caller's prebuilt analyzer
-           and never refresh (the sessionless [Whatif.run] contract) *)
     runs : int Atomic.t;
     analyzer_builds : int Atomic.t;
     analyzer_extends : int Atomic.t;
-    plans_compiled : int Atomic.t;
-    plan_cache_hits : int Atomic.t;
     ingested : int Atomic.t;
     publishes : int Atomic.t;
   }
 
-  let make_t ~config ~rowset ~base ~pinned ~state eng =
+  let create ?(config = Config.default) ?rowset ?base eng =
+    if
+      Config.checkpoint_every config > 0
+      && Option.is_none (Uv_db.Engine.checkpoints eng)
+    then
+      Uv_db.Engine.enable_checkpoints eng
+        ~every:(Config.checkpoint_every config);
     {
       eng;
       config;
@@ -603,39 +588,13 @@ module Service = struct
          exactly once; the engine's own storage locks are separate,
          reader-preferring instances). *)
       lock = Uv_util.Rwlock.create ~writer_priority:true ();
-      state = Atomic.make state;
-      pinned;
+      state = Atomic.make empty_snapshot;
       runs = Atomic.make 0;
       analyzer_builds = Atomic.make 0;
       analyzer_extends = Atomic.make 0;
-      plans_compiled = Atomic.make 0;
-      plan_cache_hits = Atomic.make 0;
       ingested = Atomic.make 0;
       publishes = Atomic.make 0;
     }
-
-  let create ?(config = Config.default) ?rowset ?base eng =
-    if
-      Config.checkpoint_every config > 0
-      && Option.is_none (Uv_db.Engine.checkpoints eng)
-    then
-      Uv_db.Engine.enable_checkpoints eng
-        ~every:(Config.checkpoint_every config);
-    make_t ~config ~rowset ~base ~pinned:false ~state:empty_snapshot eng
-
-  (* Internal: the sessionless [Whatif.run]/[run_exn] path. The given
-     analyzer is trusted as covering the engine's current log, exactly
-     as the historical contract stated. *)
-  let of_analyzer ~config ~analyzer eng =
-    let state =
-      {
-        analyzer = Some analyzer;
-        analyzed_len = Uv_db.Log.length (Uv_db.Engine.log eng);
-        epoch = Uv_db.Catalog.epoch (Uv_db.Engine.catalog eng);
-        plans = Imap.empty;
-      }
-    in
-    make_t ~config ~rowset:None ~base:None ~pinned:true ~state eng
 
   let engine t = t.eng
   let config t = t.config
@@ -654,31 +613,14 @@ module Service = struct
 
   (* Bring the published snapshot up to the engine's committed head.
      Caller must hold the write lock. New DML-only entries extend the
-     analyzer in O(Δ) and compile plans for just the delta; a shrunk
-     log, a catalog epoch change (DDL, restore) or DDL among the new
-     entries rebuilds from scratch. *)
+     analyzer in O(Δ); a shrunk log, a catalog epoch change (DDL,
+     restore) or DDL among the new entries rebuilds from scratch. *)
   let publish_locked t =
     let obs = Config.obs t.config in
     let log = Uv_db.Engine.log t.eng in
     let n = Uv_db.Log.length log in
     let ep = Uv_db.Catalog.epoch (Uv_db.Engine.catalog t.eng) in
     let snap = Atomic.get t.state in
-    let compile plans lo =
-      if not (Config.plans t.config) then plans
-      else begin
-        let acc = ref plans in
-        for i = lo to n do
-          let p =
-            Uv_db.Engine.prepare
-              (Uv_db.Engine.catalog t.eng)
-              (Uv_db.Log.entry log i).Uv_db.Log.stmt
-          in
-          if Option.is_some p then Atomic.incr t.plans_compiled;
-          acc := Imap.add i p !acc
-        done;
-        !acc
-      end
-    in
     let new_ddl () =
       let rec go i =
         i <= n
@@ -695,12 +637,7 @@ module Service = struct
             Atomic.incr t.analyzer_extends;
             Uv_obs.Trace.incr obs "whatif.service.analyzer_extends"
           end;
-          {
-            analyzer = Some a;
-            analyzed_len = n;
-            epoch = ep;
-            plans = compile snap.plans (snap.analyzed_len + 1);
-          }
+          { analyzer = Some a; analyzed_len = n; epoch = ep }
       | _ ->
           let a =
             Analyzer.of_source ?config:t.rowset ?base:t.base ~obs
@@ -708,8 +645,7 @@ module Service = struct
           in
           Atomic.incr t.analyzer_builds;
           Uv_obs.Trace.incr obs "whatif.service.analyzer_builds";
-          { analyzer = Some a; analyzed_len = n; epoch = ep;
-            plans = compile Imap.empty 1 }
+          { analyzer = Some a; analyzed_len = n; epoch = ep }
     in
     Atomic.incr t.publishes;
     Atomic.set t.state fresh
@@ -735,15 +671,6 @@ module Service = struct
 
   let ingest_sql t sql = ingest t (Uv_sql.Parser.parse_script sql)
 
-  let plan_lookup t snap config i =
-    if not (Config.plans config) then None
-    else
-      match Imap.find_opt i snap.plans with
-      | Some p ->
-          Atomic.incr t.plan_cache_hits;
-          p
-      | None -> None
-
   (* Run [f] over a snapshot that is current w.r.t. the engine's head,
      holding the read side of the lock for the whole evaluation so no
      ingest can extend the analyzer mid-run. The pull-refresh retry loop
@@ -752,7 +679,7 @@ module Service = struct
     match
       Uv_util.Rwlock.read t.lock (fun () ->
           let snap = Atomic.get t.state in
-          if (not t.pinned) && stale t snap then None else Some (f snap))
+          if stale t snap then None else Some (f snap))
     with
     | Some v -> v
     | None ->
@@ -767,18 +694,8 @@ module Service = struct
       | Some a -> a
       | None -> invalid_arg "Whatif.Service.run: no published analyzer"
     in
-    let outcome =
-      run_inner ~config ~cur_phase ~analyzer
-        ~plan_for:(plan_lookup t snap config)
-        t.eng target
-    in
+    let outcome = run_inner ~config ~cur_phase ~analyzer t.eng target in
     { outcome; history_len = snap.analyzed_len }
-
-  let run_unguarded ?config t target =
-    let config = Option.value config ~default:t.config in
-    run_fresh t (fun snap ->
-        let cur_phase = ref "init" in
-        run_with t config cur_phase snap target)
 
   let run ?config t target =
     let config = Option.value config ~default:t.config in
@@ -792,15 +709,13 @@ module Service = struct
       | Some l -> (Uv_db.Checkpoint.count l, Uv_db.Checkpoint.every l)
       | None -> (0, 0)
     in
-    let snap = Atomic.get t.state in
     {
       runs = Atomic.get t.runs;
       analyzer_builds = Atomic.get t.analyzer_builds;
       analyzer_extends = Atomic.get t.analyzer_extends;
-      analyzed_entries = snap.analyzed_len;
-      plan_cache_size = Imap.cardinal snap.plans;
-      plans_compiled = Atomic.get t.plans_compiled;
-      plan_cache_hits = Atomic.get t.plan_cache_hits;
+      analyzed_entries = (Atomic.get t.state).analyzed_len;
+      plans_compiled = 0;
+      plan_cache_hits = 0;
       checkpoint_rungs = rungs;
       checkpoint_every = every;
       ingested = Atomic.get t.ingested;
@@ -809,14 +724,11 @@ module Service = struct
 end
 
 let run_exn ?(config = Config.default) ~analyzer eng target =
-  let svc = Service.of_analyzer ~config ~analyzer eng in
-  (Service.run_unguarded svc target).Service.outcome
+  run_inner ~config ~cur_phase:(ref "init") ~analyzer eng target
 
 let run ?(config = Config.default) ~analyzer eng target =
-  let svc = Service.of_analyzer ~config ~analyzer eng in
-  match Service.run svc target with
-  | Ok r -> Ok r.Service.outcome
-  | Error e -> Error e
+  let cur_phase = ref "init" in
+  guarded cur_phase (fun () -> run_inner ~config ~cur_phase ~analyzer eng target)
 
 let commit eng outcome =
   if outcome.changed then begin

@@ -39,7 +39,6 @@ module Config : sig
     ?deadline_ms:float ->
     ?fault:Uv_fault.Fault.t ->
     ?checkpoint_every:int ->
-    ?plans:bool ->
     unit ->
     t
   (** Defaults: [mode = Cell]; [workers = 8] (the paper's testbed width;
@@ -58,10 +57,8 @@ module Config : sig
       [checkpoint_every = 0] — when positive, a {!Service} attaches a
       checkpoint ladder to the engine snapshotting the catalog every
       that many commits, and the rollback phase may jump to the nearest
-      rung instead of undoing the whole member tail; [plans = true] —
-      let a {!Service} compile and cache statement plans for replayed
-      members (caches only ever amortize: outcomes are
-      bitwise-identical with both knobs off). *)
+      rung instead of undoing the whole member tail (it only ever
+      amortizes: outcomes are bitwise-identical with it off). *)
 
   val default : t
   (** [make ()]. *)
@@ -74,7 +71,6 @@ module Config : sig
   val deadline_ms : t -> float option
   val fault : t -> Uv_fault.Fault.t
   val checkpoint_every : t -> int
-  val plans : t -> bool
 end
 
 (** Why a what-if run could not produce an outcome. *)
@@ -152,8 +148,8 @@ type outcome = {
           oldest member and redid the non-member tail from journal
           images (only when an attached ladder made that cheaper) *)
   plans_used : int;
-      (** members replayed through a compiled plan from the service's
-          cache (0 outside a {!Service} or with [Config.plans] off) *)
+      (** always [0]: every member replays through the interpreter. Kept
+          so readers of this record keep compiling. *)
 }
 
 val run :
@@ -203,21 +199,17 @@ val query_new_universe : outcome -> Ast.select -> Uv_db.Engine.result
     - the {!Analyzer} is built once and {!Analyzer.extend}ed when the
       log grows (DML only); a shrunk log, a catalog epoch change or new
       DDL rebuilds it from scratch;
-    - compiled statement plans ({!Uv_db.Engine.prepare}) are cached per
-      log index and handed to the replay hot path — plans self-validate
-      at bind time, so a stale plan silently falls back to the
-      interpreter;
     - with [Config.checkpoint_every > 0] the engine records periodic
       catalog snapshots that let the rollback phase jump near τ.
 
     One service owns one engine. Committed traffic enters through
     {!Service.ingest} (exclusive); any number of domains concurrently
     ask what-if questions through {!Service.run} (shared). Internally
-    the analyzer, compiled-plan cache and checkpoint ladder live in an
-    immutable {e snapshot} republished atomically after every ingest: a
-    reader obtains the whole cache set with one atomic load and can
+    the analyzer and the history length and catalog epoch it covers live
+    in an immutable {e snapshot} republished atomically after every
+    ingest: a reader obtains the whole set with one atomic load and can
     never observe a half-swapped state (analyzer from one history
-    length, plans from another). A readers-writer lock serializes ingest
+    length, epoch from another). A readers-writer lock serializes ingest
     against in-flight runs, because [Analyzer.extend] updates the
     analyzer inside the current snapshot in place.
 
@@ -240,9 +232,8 @@ module Service : sig
     analyzer_builds : int;  (** full history scans *)
     analyzer_extends : int;  (** incremental O(Δ) refreshes *)
     analyzed_entries : int;  (** log length the published snapshot covers *)
-    plan_cache_size : int;  (** entries with a cached compile decision *)
-    plans_compiled : int;  (** statements that yielded a plan *)
-    plan_cache_hits : int;  (** lookups served from the snapshot *)
+    plans_compiled : int;  (** always [0]; kept for readers of this record *)
+    plan_cache_hits : int;  (** always [0]; kept for readers of this record *)
     checkpoint_rungs : int;  (** live rungs on the engine's ladder *)
     checkpoint_every : int;  (** current rung stride (thinning doubles it) *)
     ingested : int;  (** statements applied through {!ingest} *)
@@ -280,8 +271,8 @@ module Service : sig
   val ingest : t -> Uv_sql.Ast.stmt list -> int * int
   (** Apply committed transactions to the shared history and republish
       the caches: [(applied, failed)]. Exclusive with every in-flight
-      run; DML-only batches refresh the snapshot in O(Δ) ([extend] plus
-      plans for just the new entries), DDL or a shrunk log rebuilds.
+      run; DML-only batches refresh the snapshot in O(Δ) ([extend]),
+      DDL or a shrunk log rebuilds.
       Statements that fail ([Sql_error]) are counted and skipped. *)
 
   val ingest_sql : t -> string -> int * int

@@ -63,15 +63,15 @@ step "columnar smoke: typed columns == boxed model" columnar_smoke
 step "bench smoke: cached what-if == cold" \
   dune exec bench/main.exe -- --smoke
 
-# caching must never change the answer: the same what-if runs once with
-# every cache disabled and then repeatedly through a session (plan
-# cache + incremental analyzer + checkpoint ladder); the final universe
-# hashes must be bitwise-identical
+# caching must never change the answer: the same what-if runs once as a
+# plain one-shot and then repeatedly through a session (incremental
+# analyzer + checkpoint ladder); the final universe hashes must be
+# bitwise-identical
 cache_smoke() {
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
-    --tau 2 --op remove --no-plans --json > "$out/cold.json" &&
+    --tau 2 --op remove --json > "$out/cold.json" &&
   dune exec bin/ultraverse.exe -- whatif examples/histories/lint_demo.sql \
     --tau 2 --op remove --checkpoint-every 4 --repeat 3 --json \
     > "$out/warm.json" &&

@@ -181,17 +181,26 @@ let test_hash_jumper_falls_back () =
 (* Served what-ifs compute replay sets concurrently on the read side of
    one analyzer. Two domains ask the same questions of a fresh analyzer
    (so they also race to build its lazy indexes); each must get exactly
-   the answers a serial run on a separate analyzer gives. [Remove]
-   targets only: extracting an added statement's row sets writes the
-   shared alias/merge state. *)
+   the answers a serial run on a separate analyzer gives. The targets mix
+   [Remove], [Add] and [Change]: an added or changed statement's row sets
+   are extracted without writing the shared alias/merge state. *)
 let test_concurrent_closures (w : W.t) () =
   let eng, base = build w ~n:60 ~dep_rate:0.3 in
-  let analyze () =
-    Analyzer.analyze ~config:w.W.ri_config ~base (Engine.log eng)
-  in
+  let log = Engine.log eng in
+  let analyze () = Analyzer.analyze ~config:w.W.ri_config ~base log in
+  let n = Log.length log in
+  (* Add/Change reuse another entry's statement, so the hypothetical
+     statements read and rewrite the workload's real RI values *)
+  let stmt_at k = (Log.entry log ((k mod n) + 1)).Log.stmt in
   let targets =
-    List.init (Log.length (Engine.log eng)) (fun i ->
-        { Analyzer.tau = i + 1; op = Analyzer.Remove })
+    List.init n (fun i ->
+        let op =
+          match i mod 3 with
+          | 0 -> Analyzer.Remove
+          | 1 -> Analyzer.Add (stmt_at (i * 7))
+          | _ -> Analyzer.Change (stmt_at (i * 3))
+        in
+        { Analyzer.tau = i + 1; op })
   in
   let modes =
     [ Analyzer.Col_only; Analyzer.Row_only; Analyzer.Cell; Analyzer.Joint ]
